@@ -221,7 +221,7 @@ class SimScope
         double flop_seconds = 0.0;
         double barrier_seconds = 0.0;  //!< ParSim only
         uint64_t boundary_bytes = 0;   //!< ParSim only
-        /** Work units skipped by activity gating: comb steps on the
+        /** Work units skipped by activity gating: comb blocks on the
          *  sequential kernel, island supersteps on ParSim. */
         uint64_t gated_supersteps = 0;
         int nislands = 1;

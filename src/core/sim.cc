@@ -1,6 +1,8 @@
 #include "sim.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 #include <queue>
 #include <stdexcept>
 
@@ -242,7 +244,7 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
         if (eventDriven())
             enqueueReaders(net);
         else if (gating_)
-            markTokenStepsDirty(net);
+            markTokenBlocksDirty(net);
     });
 
     in_worklist_.assign(comb_steps_.size(), 0);
@@ -466,19 +468,18 @@ SimulationTool::specialize()
     }
 
     spec_stats_.numGroups = static_cast<int>(groups.size());
+    group_blocks_ = groups;
 
     if (cfg_.spec == SpecMode::Bytecode || design) {
         bc_programs_.resize(blocks.size());
         int max_scratch = 0;
         group_bc_.resize(groups.size());
-        group_blocks_.resize(groups.size());
         for (size_t g = 0; g < groups.size(); ++g) {
             for (int blk : groups[g]) {
                 bc_programs_[blk] = bcCompile(blocks[blk], *arena_);
                 max_scratch =
                     std::max(max_scratch, bc_programs_[blk].nscratch);
                 group_bc_[g].push_back(&bc_programs_[blk]);
-                group_blocks_[g].push_back(blk);
             }
         }
         bc_scratch_.assign(static_cast<size_t>(max_scratch) + 1, 0);
@@ -903,15 +904,70 @@ SimulationTool::buildGating()
     gating_ = cfg_.gating && !eventDriven() && !designMode();
     if (!gating_)
         return;
-    step_dirty_.assign(comb_steps_.size(), 1);
+    const auto &blocks = elab_->blocks;
+    const int ntokens =
+        static_cast<int>(elab_->nets.size() + elab_->arrays.size());
+    block_dirty_.assign(blocks.size(), 1);
 
-    writer_steps_of_token_.assign(elab_->nets.size() +
-                                      elab_->arrays.size(),
-                                  {});
-    for (size_t i = 0; i < comb_steps_.size(); ++i) {
-        for (int token : *comb_steps_[i].writes)
-            writer_steps_of_token_[token].push_back(
-                static_cast<int>(i));
+    // Token -> scheduled comb readers and writers (dead and tick
+    // blocks have no comb step and never enter a list).
+    auto scheduled = [&](int blk) { return comb_step_of_block_[blk] >= 0; };
+    std::vector<std::vector<int>> writers(ntokens);
+    for (size_t b = 0; b < blocks.size(); ++b) {
+        if (scheduled(static_cast<int>(b))) {
+            for (int token : blocks[b].writes)
+                writers[token].push_back(static_cast<int>(b));
+        }
+    }
+    comb_writers_ = Csr<int>::fromRows(writers);
+    for (int t = 0; t < ntokens; ++t) {
+        for (int blk : elab_->netReaders[t]) {
+            if (scheduled(blk))
+                comb_readers_.items.push_back(blk);
+        }
+        comb_readers_.endRow();
+    }
+
+    // Block -> arena output spans, diffed around a specialized
+    // block's run on the arena host. Comb blocks never write arrays
+    // (the IR builder rejects it; a lambda's writes go through
+    // writeArray(), which marks readers), so word diffs see every
+    // settle-internal change.
+    const bool spans = arena_ && !useBoxed();
+    size_t max_words = 0;
+    for (size_t b = 0; b < blocks.size(); ++b) {
+        size_t words = 0;
+        if (spans && scheduled(static_cast<int>(b))) {
+            for (int token : blocks[b].writes) {
+                assert(!isArrayToken(token));
+                block_spans_.items.push_back({token, arena_->offset(token),
+                                              arena_->nwords(token)});
+                words += static_cast<size_t>(arena_->nwords(token));
+            }
+        }
+        block_spans_.endRow();
+        max_words = std::max(max_words, words);
+    }
+    span_snapshot_.assign(max_words, 0);
+
+    // Flop range -> the static flop nets it holds, so a range whose
+    // next words differ marks exactly its changed nets.
+    if (spans) {
+        std::vector<int> range_of_word(arena_->wordsPerPhase(), -1);
+        for (size_t r = 0; r < flop_plan_.ranges.size(); ++r) {
+            const FlopRange &rg = flop_plan_.ranges[r];
+            for (int w = 0; w < rg.nwords; ++w)
+                range_of_word[rg.off + w] = static_cast<int>(r);
+        }
+        std::vector<std::vector<WordSpan>> rows(flop_plan_.ranges.size());
+        for (size_t i = 0; i < n_static_flops_; ++i) {
+            const int net = flopped_nets_[i];
+            const int r = range_of_word[arena_->offset(net)];
+            if (r >= 0)
+                rows[r].push_back(
+                    {net, arena_->offset(net), arena_->nwords(net)});
+        }
+        range_nets_ = Csr<WordSpan>::fromRows(rows);
     }
 
     // Tokens tick blocks may write with blocking semantics: plain
@@ -930,24 +986,6 @@ SimulationTool::buildGating()
     tick_dirty_tokens_.erase(std::unique(tick_dirty_tokens_.begin(),
                                          tick_dirty_tokens_.end()),
                              tick_dirty_tokens_.end());
-}
-
-void
-SimulationTool::markReaderStepsDirty(int token)
-{
-    for (int blk : elab_->netReaders[token]) {
-        int step = comb_step_of_block_[blk];
-        if (step >= 0)
-            step_dirty_[step] = 1;
-    }
-}
-
-void
-SimulationTool::markTokenStepsDirty(int token)
-{
-    markReaderStepsDirty(token);
-    for (int step : writer_steps_of_token_[token])
-        step_dirty_[step] = 1;
 }
 
 bool
@@ -1148,36 +1186,101 @@ SimulationTool::settle()
         }
         worklist_.clear();
     } else if (gating_) {
-        // Static order, change-driven execution: a step whose inputs
-        // did not change since its last run recomputes values it
-        // already holds, so it is skipped. Dirty bits set mid-loop
-        // belong to later steps (the schedule is topological), so one
-        // pass still settles fully.
-        std::vector<int> changed;
-        for (size_t i = 0; i < comb_steps_.size(); ++i) {
-            if (!step_dirty_[i]) {
-                ++gated_steps_;
-                if (probe_)
-                    ++probe_->gated_steps;
-                continue;
-            }
-            step_dirty_[i] = 0;
-            changed.clear();
-            runStep(comb_steps_[i], &changed);
-            for (int net : changed)
-                markReaderStepsDirty(net);
-            // Array writes elude word-diff change detection: re-run
-            // the readers of every array this step may have touched.
-            for (int token : *comb_steps_[i].writes) {
-                if (isArrayToken(token))
-                    markReaderStepsDirty(token);
-            }
-        }
+        settleGated();
     } else {
         for (const Step &step : *active_comb_)
             runStep(step, nullptr);
     }
     dirty_ = false;
+}
+
+void
+SimulationTool::settleGated()
+{
+    // Static order, change-driven execution: a block whose inputs did
+    // not change since its last run recomputes values it already
+    // holds, so it is skipped. Dirty bits set mid-loop belong to later
+    // blocks (the schedule is topological), so one pass still settles
+    // fully.
+    uint64_t skipped = 0;
+    for (const Step &step : comb_steps_) {
+        if (step.group >= 0 && !useBoxed()) {
+            // Arena-hosted specialized step: gate each member block.
+            if (step.kind == Step::Kind::Native) {
+                skipped += !runBlockGated(step, step.block, nullptr);
+                continue;
+            }
+            const auto &blks = group_blocks_[step.group];
+            const auto &progs = group_bc_[step.group];
+            for (size_t i = 0; i < blks.size(); ++i)
+                skipped += !runBlockGated(step, blks[i], progs[i]);
+            continue;
+        }
+        // Lambda, slot-IR and hybrid steps run whole (a hybrid group
+        // marshals its boundary once): dirty when any member is.
+        const int *first = &step.block, *last = first + 1;
+        if (step.group >= 0) {
+            const auto &blks = group_blocks_[step.group];
+            first = blks.data();
+            last = first + blks.size();
+        }
+        bool dirty = false;
+        for (const int *b = first; b != last; ++b) {
+            dirty |= block_dirty_[*b] != 0;
+            block_dirty_[*b] = 0;
+        }
+        if (!dirty) {
+            skipped += static_cast<uint64_t>(last - first);
+            continue;
+        }
+        gate_changed_.clear();
+        runStep(step, &gate_changed_);
+        for (int net : gate_changed_)
+            markReaderBlocksDirty(net);
+    }
+    gated_steps_ += skipped;
+    if (probe_)
+        probe_->gated_steps += skipped;
+}
+
+bool
+SimulationTool::runBlockGated(const Step &step, int blk,
+                              const BcProgram *bc)
+{
+    if (!block_dirty_[blk])
+        return false;
+    block_dirty_[blk] = 0;
+    uint64_t *words = arena_->data();
+    const WordSpan *first = block_spans_.begin(blk);
+    const WordSpan *last = block_spans_.end(blk);
+    uint64_t *snap = span_snapshot_.data();
+    for (const WordSpan *s = first; s != last; ++s) {
+        for (int w = 0; w < s->nwords; ++w)
+            *snap++ = words[s->off + w];
+    }
+    auto run = [&] {
+        if (bc)
+            bcRun(*bc, words, bc_scratch_.data());
+        else
+            cpp_lib_.group(step.group)(words);
+    };
+    ScopeProbe *p = probe_;
+    if (p && p->shouldTime(blk)) {
+        Stopwatch sw;
+        run();
+        p->addBlockTime(blk, sw.elapsed());
+    } else {
+        run();
+    }
+    snap = span_snapshot_.data();
+    for (const WordSpan *s = first; s != last; ++s) {
+        bool differs = false;
+        for (int w = 0; w < s->nwords; ++w)
+            differs |= words[s->off + w] != *snap++;
+        if (differs)
+            markReaderBlocksDirty(s->net);
+    }
+    return true;
 }
 
 void
@@ -1202,7 +1305,7 @@ SimulationTool::cycle()
             runStep(step, nullptr);
         if (gating_) {
             for (int token : tick_dirty_tokens_)
-                markTokenStepsDirty(token);
+                markTokenBlocksDirty(token);
         }
         std::vector<int> changed;
         doFlop(eventDriven() ? &changed : nullptr);
@@ -1231,7 +1334,7 @@ SimulationTool::cycleProfiled()
         runStep(step, nullptr);
     if (gating_) {
         for (int token : tick_dirty_tokens_)
-            markTokenStepsDirty(token);
+            markTokenBlocksDirty(token);
     }
     p->tick_seconds += sw.elapsed();
 
@@ -1276,15 +1379,22 @@ SimulationTool::doFlop(std::vector<int> *changed)
             arena_->flop(flopped_nets_[i]);
         return;
     }
-    if (arena_ && !useBoxed() && !changed && !gating_) {
-        // No per-net change notification needed: copy the static flop
-        // set as whole-word ranges (plus the masked stragglers whose
-        // word-mates are not all flopped), then the dynamic tail.
-        arena_->flopRanges(flop_plan_.ranges);
-        for (int net : flop_plan_.rmw_nets)
-            arena_->flop(net);
-        for (size_t i = n_static_flops_; i < flopped_nets_.size(); ++i)
-            arena_->flop(flopped_nets_[i]);
+    if (arena_ && !useBoxed() && !changed) {
+        // Copy the static flop set as whole-word ranges (plus the
+        // masked stragglers whose word-mates are not all flopped),
+        // then the dynamic tail; gating change-detects per range.
+        if (gating_)
+            flopRangesGated();
+        else
+            arena_->flopRanges(flop_plan_.ranges);
+        for (int net : flop_plan_.rmw_nets) {
+            if (arena_->flop(net) && gating_)
+                markTokenBlocksDirty(net);
+        }
+        for (size_t i = n_static_flops_; i < flopped_nets_.size(); ++i) {
+            if (arena_->flop(flopped_nets_[i]) && gating_)
+                markTokenBlocksDirty(flopped_nets_[i]);
+        }
         return;
     }
     for (int net : flopped_nets_) {
@@ -1294,8 +1404,35 @@ SimulationTool::doFlop(std::vector<int> *changed)
             if (changed)
                 enqueueReaders(net);
             if (gating_)
-                markTokenStepsDirty(net);
+                markTokenBlocksDirty(net);
         }
+    }
+}
+
+void
+SimulationTool::flopRangesGated()
+{
+    // An unchanged range is skipped outright; a changed one marks the
+    // flop nets whose words differ (a packed word compares whole —
+    // conservative: a word-mate's change also re-runs this net's
+    // readers), then copies as one block.
+    uint64_t *words = arena_->data();
+    const int phase = arena_->wordsPerPhase();
+    for (size_t r = 0; r < flop_plan_.ranges.size(); ++r) {
+        const FlopRange &rg = flop_plan_.ranges[r];
+        uint64_t *cur = words + rg.off;
+        const size_t bytes = static_cast<size_t>(rg.nwords) * sizeof(uint64_t);
+        if (std::memcmp(cur, cur + phase, bytes) == 0)
+            continue;
+        for (const WordSpan *s = range_nets_.begin(static_cast<int>(r)),
+                            *e = range_nets_.end(static_cast<int>(r));
+             s != e; ++s) {
+            if (std::memcmp(words + s->off, words + s->off + phase,
+                            static_cast<size_t>(s->nwords) *
+                                sizeof(uint64_t)) != 0)
+                markTokenBlocksDirty(s->net);
+        }
+        std::memcpy(cur, cur + phase, bytes);
     }
 }
 
@@ -1327,7 +1464,7 @@ SimulationTool::writeArray(MemArray &array, uint64_t index,
     if (eventDriven())
         enqueueReaders(elab_->arrayToken(id));
     else if (gating_)
-        markTokenStepsDirty(elab_->arrayToken(id));
+        markTokenBlocksDirty(elab_->arrayToken(id));
 }
 
 Bits
@@ -1348,7 +1485,7 @@ SimulationTool::write(Signal &sig, const Bits &value)
         if (eventDriven())
             enqueueReaders(net);
         else if (gating_)
-            markTokenStepsDirty(net);
+            markTokenBlocksDirty(net);
     }
 }
 

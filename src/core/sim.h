@@ -143,16 +143,18 @@ struct SimConfig
     bool dead_elim = false;
     /**
      * Activity gating: skip work that provably cannot change state.
-     * The sequential kernel skips a combinational step when none of
-     * its inputs changed since its last run (static schedules only —
-     * the event-driven scheduler is already change-driven); ParSim
-     * skips a whole island's settle superstep when the island saw no
-     * input change, the island only joining the barriers. Results are
-     * bit- and VCD-identical to an ungated run by construction: a
-     * step/island is skipped only when re-running it would recompute
-     * the values it already holds. Ignored by the fused cpp-design
-     * native tier (the whole cycle is one compiled call). On by
-     * default.
+     * The sequential kernel skips a combinational block when none of
+     * its inputs changed since its last run — also inside a fused
+     * bytecode group, whose clean members are stepped over one by one
+     * (static schedules only — the event-driven scheduler is already
+     * change-driven) — and its flop phase copies only the flop ranges
+     * whose next words differ; ParSim skips a whole island's settle
+     * superstep when the island saw no input change, the island only
+     * joining the barriers. Results are bit- and VCD-identical to an
+     * ungated run by construction: a block/island is skipped only
+     * when re-running it would recompute the values it already holds.
+     * Ignored by the fused cpp-design native tier (the whole cycle is
+     * one compiled call). On by default.
      */
     bool gating = true;
     /**
@@ -230,7 +232,7 @@ struct ScopeProbe
     std::vector<uint64_t> island_boundary_bytes;
 
     // Activity gating (SimConfig::gating). Sequential kernel: comb
-    // steps skipped because no input changed. ParSim: per-island
+    // blocks skipped because no input changed. ParSim: per-island
     // settle supersteps skipped because the island was quiescent.
     uint64_t gated_steps = 0;
     std::vector<uint64_t> island_gated_supersteps;
@@ -319,10 +321,11 @@ class Simulator : public SignalAccess
 
     /**
      * Units of work skipped by activity gating (SimConfig::gating)
-     * since construction: combinational steps on the sequential
-     * kernel, island settle supersteps on ParSim. 0 when gating is
-     * off or the backend ignores it. Updated between cycles only —
-     * read it from the cycling thread.
+     * since construction: combinational blocks on the sequential
+     * kernel (a fused bytecode group counts each clean member), island
+     * settle supersteps on ParSim. 0 when gating is off or the backend
+     * ignores it. Updated between cycles only — read it from the
+     * cycling thread.
      */
     uint64_t gatedSteps() const { return gated_steps_; }
 
@@ -545,13 +548,31 @@ class SimulationTool : public Simulator
     void markFlopped(int net);
     void doFlop(std::vector<int> *changed);
     void buildGating();
+    void settleGated();
+    /** Gated run of one arena-hosted specialized comb block (@p bc, or
+     *  the block's native entry when null); false when it was clean. */
+    bool runBlockGated(const Step &step, int blk, const BcProgram *bc);
+    void flopRangesGated();
     /** Settle-internal change: re-run the token's comb readers. */
-    void markReaderStepsDirty(int token);
+    void markReaderBlocksDirty(int token)
+    {
+        for (const int *b = comb_readers_.begin(token),
+                       *e = comb_readers_.end(token);
+             b != e; ++b)
+            block_dirty_[*b] = 1;
+    }
     /** External change (testbench write, flop, poke): re-run the
-     *  token's comb readers AND its comb driver, so a poked value a
+     *  token's comb readers AND its comb drivers, so a poked value a
      *  driver would overwrite is overwritten exactly as when every
-     *  step runs unconditionally. */
-    void markTokenStepsDirty(int token);
+     *  block runs unconditionally. */
+    void markTokenBlocksDirty(int token)
+    {
+        markReaderBlocksDirty(token);
+        for (const int *b = comb_writers_.begin(token),
+                       *e = comb_writers_.end(token);
+             b != e; ++b)
+            block_dirty_[*b] = 1;
+    }
 
     std::unique_ptr<BoxedStore> boxed_;
     std::unique_ptr<ArenaStore> arena_;
@@ -624,12 +645,47 @@ class SimulationTool : public Simulator
     std::vector<int> worklist_;
     std::vector<char> in_worklist_;
 
+    /** Flat sensitivity list: row r is items[off[r] .. off[r + 1]). */
+    template <typename T>
+    struct Csr
+    {
+        std::vector<int> off{0};
+        std::vector<T> items;
+        void endRow() { off.push_back(static_cast<int>(items.size())); }
+        static Csr
+        fromRows(const std::vector<std::vector<T>> &rows)
+        {
+            Csr csr;
+            for (const auto &row : rows) {
+                csr.items.insert(csr.items.end(), row.begin(), row.end());
+                csr.endRow();
+            }
+            return csr;
+        }
+        const T *begin(int row) const { return items.data() + off[row]; }
+        const T *end(int row) const { return items.data() + off[row + 1]; }
+    };
+    /** Arena words of one net: (net, first word, word count). */
+    struct WordSpan
+    {
+        int net;
+        int off;
+        int nwords;
+    };
+
     // Activity gating (static schedules only; see SimConfig::gating).
+    // The unit is one comb block, even inside a fused bytecode group.
     bool gating_ = false;
-    std::vector<char> step_dirty_; //!< comb step must re-run
-    /** token -> comb step(s) writing it (specialized groups count as
-     *  one step); used to re-run drivers over externally poked nets. */
-    std::vector<std::vector<int>> writer_steps_of_token_;
+    std::vector<char> block_dirty_; //!< ElabBlock id -> must re-run
+    Csr<int> comb_readers_;         //!< token -> scheduled comb readers
+    Csr<int> comb_writers_;         //!< token -> scheduled comb writers
+    /** Block -> arena-resident net writes, change-detected around a
+     *  specialized block's run. */
+    Csr<WordSpan> block_spans_;
+    /** flop_plan_.ranges[r] -> the static flop nets inside it. */
+    Csr<WordSpan> range_nets_;
+    std::vector<uint64_t> span_snapshot_; //!< one block's output words
+    std::vector<int> gate_changed_;       //!< step-level change list
     /** Tokens tick blocks write with blocking semantics (plain nets
      *  never statically flopped, and every tick-written array): their
      *  readers re-run each cycle; the flop phase change-detects the

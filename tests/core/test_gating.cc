@@ -2,9 +2,11 @@
  * Activity-gating equivalence (SimConfig::gating).
  *
  * The contract under test: gating is a pure optimization. A gated run
- * — on the sequential kernel (per-step dirty bits over the static
- * schedule) and on ParSim (per-island quiescence, closed over the push
- * graph) — must be bit-identical to the same run with gating off:
+ * — on the sequential kernel (per-block dirty bits over the static
+ * schedule, also inside fused bytecode groups, plus per-range flop
+ * change detection) and on ParSim (per-island quiescence, closed over
+ * the push graph) — must be bit-identical to the same run with gating
+ * off:
  * every net every sampled cycle, the full VCD byte stream, and the
  * end-to-end workload statistics. The tests also assert the gate
  * actually fires (gatedSteps() > 0) so a silently disabled gate cannot
@@ -18,11 +20,14 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <unistd.h>
 
+#include "core/jit_cpp.h"
 #include "core/psim.h"
 #include "core/sim.h"
 #include "core/vcd.h"
 #include "net/traffic.h"
+#include "tile/multitile.h"
 
 namespace cmtl {
 namespace {
@@ -39,6 +44,32 @@ gateCfg(SpecMode spec, int threads, bool gating)
     cfg.threads = threads;
     cfg.gating = gating;
     return cfg;
+}
+
+SimConfig
+gateCfg(const std::string &backend, int threads, bool gating)
+{
+    SimConfig cfg = SimConfig::fromString(backend);
+    cfg.threads = threads;
+    cfg.gating = gating;
+    return cfg;
+}
+
+bool
+needsCompiler(const std::string &backend)
+{
+    return backend.find("cpp") != std::string::npos;
+}
+
+std::string
+paramName(const std::string &backend, int threads)
+{
+    std::string name = backend + "_t" + std::to_string(threads);
+    for (char &c : name) {
+        if (c == '-' || c == '+')
+            c = '_';
+    }
+    return name;
 }
 
 std::unique_ptr<MeshTrafficTop>
@@ -59,6 +90,13 @@ expectSameState(Simulator &a, Simulator &b, const std::string &ctx)
             << ctx << ": net " << net.name << " diverged at cycle "
             << a.numCycles();
     }
+    for (const MemArray *array : a.elaboration().arrays) {
+        for (int i = 0; i < array->depth(); ++i) {
+            ASSERT_EQ(a.readArray(*array, i), b.readArray(*array, i))
+                << ctx << ": array " << array->name() << "[" << i
+                << "] diverged at cycle " << a.numCycles();
+        }
+    }
 }
 
 std::string
@@ -77,16 +115,15 @@ slurp(const std::string &path)
  * when gating considered their steps clean).
  */
 void
-runGatingEquiv(SpecMode spec, int threads, int cycles, uint64_t seed)
+runGatingEquiv(SimConfig cfg, int cycles, uint64_t seed,
+               const std::string &ctx)
 {
     auto ta = makeTop(seed);
     auto tb = makeTop(seed);
-    auto on = makeSimulator(ta->elaborate(), gateCfg(spec, threads, true));
-    auto off =
-        makeSimulator(tb->elaborate(), gateCfg(spec, threads, false));
-
-    std::ostringstream ctx;
-    ctx << "spec=" << static_cast<int>(spec) << " threads=" << threads;
+    cfg.gating = true;
+    auto on = makeSimulator(ta->elaborate(), cfg);
+    cfg.gating = false;
+    auto off = makeSimulator(tb->elaborate(), cfg);
 
     on->reset();
     off->reset();
@@ -100,17 +137,63 @@ runGatingEquiv(SpecMode spec, int threads, int cycles, uint64_t seed)
         on->cycle();
         off->cycle();
         if (c % 16 == 15)
-            expectSameState(*on, *off, ctx.str());
+            expectSameState(*on, *off, ctx);
     }
-    expectSameState(*on, *off, ctx.str());
-    EXPECT_EQ(ta->stats().received, tb->stats().received) << ctx.str();
-    EXPECT_EQ(ta->stats().latency_sum, tb->stats().latency_sum)
-        << ctx.str();
+    expectSameState(*on, *off, ctx);
+    EXPECT_EQ(ta->stats().received, tb->stats().received) << ctx;
+    EXPECT_EQ(ta->stats().latency_sum, tb->stats().latency_sum) << ctx;
     EXPECT_GT(tb->stats().received, 0u) << "degenerate scenario";
     // The ungated side must never count a gated step (whether the
     // gated side fires here depends on traffic; GatingQuiescence
     // asserts firing under controlled conditions).
-    EXPECT_EQ(off->gatedSteps(), 0u) << ctx.str();
+    EXPECT_EQ(off->gatedSteps(), 0u) << ctx;
+}
+
+/** Gated and ungated VCDs of the same run must be byte-identical. */
+void
+expectIdenticalVcds(SimConfig cfg, const std::string &tag)
+{
+    const std::string on_path =
+        ::testing::TempDir() + "gate_on_" + tag + ".vcd";
+    const std::string off_path =
+        ::testing::TempDir() + "gate_off_" + tag + ".vcd";
+    for (bool gating : {true, false}) {
+        auto top = makeTop(23);
+        cfg.gating = gating;
+        auto sim = makeSimulator(top->elaborate(), cfg);
+        VcdWriter vcd(*sim, gating ? on_path : off_path);
+        sim->reset();
+        sim->cycle(96);
+        vcd.close();
+    }
+    std::string a = slurp(on_path);
+    std::string b = slurp(off_path);
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(a, b) << "VCD streams differ: " << tag;
+    std::remove(on_path.c_str());
+    std::remove(off_path.c_str());
+}
+
+/**
+ * After reset settles, a design with no stimulus goes fully
+ * quiescent, so the gated-work counter must grow by at least one unit
+ * per cycle.
+ */
+void
+expectQuiescentGating(const SimConfig &cfg)
+{
+    auto top = std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 16,
+                                                4, 0.0, 3);
+    auto sim = makeSimulator(top->elaborate(), cfg);
+    sim->reset();
+    sim->cycle(8); // drain any reset transient
+    uint64_t before = sim->gatedSteps();
+    sim->cycle(64);
+    uint64_t gained = sim->gatedSteps() - before;
+    // At 0.0 injection nothing moves; expect at least one gated
+    // block/superstep per cycle (in practice nearly the whole
+    // schedule sequentially, every island's supersteps on ParSim).
+    EXPECT_GE(gained, 64u);
 }
 
 class GatingEquiv
@@ -122,7 +205,10 @@ TEST_P(GatingEquiv, StateAndStatsMatchUngated)
     int threads = 0;
     SpecMode spec{};
     std::tie(threads, spec) = GetParam();
-    runGatingEquiv(spec, threads, 128, 31 + threads);
+    std::ostringstream ctx;
+    ctx << "spec=" << static_cast<int>(spec) << " threads=" << threads;
+    runGatingEquiv(gateCfg(spec, threads, true), 128, 31 + threads,
+                   ctx.str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -133,43 +219,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GatingVcd, ByteIdenticalWaveformsBothKernels)
 {
-    const std::string on_path = ::testing::TempDir() + "gate_on.vcd";
-    const std::string off_path = ::testing::TempDir() + "gate_off.vcd";
     for (int threads : {1, 4}) {
-        auto ta = makeTop(23);
-        auto tb = makeTop(23);
-        {
-            auto on = makeSimulator(
-                ta->elaborate(),
-                gateCfg(SpecMode::Bytecode, threads, true));
-            VcdWriter vcd(*on, on_path);
-            on->reset();
-            on->cycle(96);
-            vcd.close();
-        }
-        {
-            auto off = makeSimulator(
-                tb->elaborate(),
-                gateCfg(SpecMode::Bytecode, threads, false));
-            VcdWriter vcd(*off, off_path);
-            off->reset();
-            off->cycle(96);
-            vcd.close();
-        }
-        std::string a = slurp(on_path);
-        std::string b = slurp(off_path);
-        ASSERT_FALSE(a.empty());
-        EXPECT_EQ(a, b) << "VCD streams differ at threads=" << threads;
+        expectIdenticalVcds(gateCfg(SpecMode::Bytecode, threads, true),
+                            "bytecode_t" + std::to_string(threads));
     }
-    std::remove(on_path.c_str());
-    std::remove(off_path.c_str());
 }
 
 /**
- * A design with no stimulus goes fully quiescent: after reset settles,
- * every subsequent sequential comb step / ParSim island superstep that
- * recomputes an unchanged value must be skipped, so the gated-step
- * counter grows every cycle — on both kernels and both static-schedule
+ * A design with no stimulus goes fully quiescent: every sequential
+ * comb block / ParSim island superstep that recomputes an unchanged
+ * value must be skipped — on both kernels and both static-schedule
  * spec modes.
  */
 class GatingQuiescence
@@ -181,19 +240,7 @@ TEST_P(GatingQuiescence, IdleDesignSkipsMostWork)
     int threads = 0;
     SpecMode spec{};
     std::tie(threads, spec) = GetParam();
-    auto top = std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 16,
-                                                4, 0.0, 3);
-    auto sim =
-        makeSimulator(top->elaborate(), gateCfg(spec, threads, true));
-    sim->reset();
-    sim->cycle(8); // drain any reset transient
-    uint64_t before = sim->gatedSteps();
-    sim->cycle(64);
-    uint64_t gained = sim->gatedSteps() - before;
-    // At 0.0 injection nothing moves; expect at least one gated
-    // step/superstep per cycle (in practice nearly the whole
-    // schedule sequentially, every island's supersteps on ParSim).
-    EXPECT_GE(gained, 64u);
+    expectQuiescentGating(gateCfg(spec, threads, true));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -201,6 +248,210 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4),
                        ::testing::Values(SpecMode::None,
                                          SpecMode::Bytecode)));
+
+// ------------------------------------------- compiled backend rows
+
+/**
+ * The same three contracts on the compiled per-block backend, whose
+ * sequential gate wraps each native block call. Configs come from
+ * the backend string; rows skip without a host compiler.
+ */
+class GatingBackends
+    : public ::testing::TestWithParam<std::tuple<int, std::string>>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (needsCompiler(std::get<1>(GetParam())) &&
+            !CppJit::compilerAvailable())
+            GTEST_SKIP() << "no host compiler";
+    }
+
+    SimConfig
+    cfg() const
+    {
+        return gateCfg(std::get<1>(GetParam()), std::get<0>(GetParam()),
+                       true);
+    }
+
+    std::string
+    tag() const
+    {
+        return paramName(std::get<1>(GetParam()), std::get<0>(GetParam()));
+    }
+};
+
+TEST_P(GatingBackends, StateAndStatsMatchUngated)
+{
+    runGatingEquiv(cfg(), 128, 31 + std::get<0>(GetParam()), tag());
+}
+
+TEST_P(GatingBackends, ByteIdenticalWaveforms)
+{
+    expectIdenticalVcds(cfg(), tag() + "_" + std::to_string(::getpid()));
+}
+
+TEST_P(GatingBackends, IdleDesignSkipsMostWork)
+{
+    expectQuiescentGating(cfg());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CppBlock, GatingBackends,
+    ::testing::Combine(::testing::Values(1, 2, 4),
+                       ::testing::Values(std::string("cpp-block"))),
+    [](const ::testing::TestParamInfo<std::tuple<int, std::string>> &i) {
+        return paramName(std::get<1>(i.param), std::get<0>(i.param));
+    });
+
+// --------------------------------------------- light-load firing
+
+/**
+ * Under light load some router is always busy, so a gate that can
+ * only skip a whole fused bytecode group never fires. The gating unit
+ * is one block, so the idle routers' blocks must be skipped every
+ * single cycle.
+ */
+TEST(GatingLightLoad, BytecodeGatesEveryCycle)
+{
+    auto top = std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 16,
+                                                4, 0.02, 7);
+    auto sim = makeSimulator(top->elaborate(), gateCfg("bytecode", 1, true));
+    sim->reset();
+    sim->cycle(8);
+    for (int c = 0; c < 64; ++c) {
+        uint64_t before = sim->gatedSteps();
+        sim->cycle();
+        ASSERT_GT(sim->gatedSteps(), before)
+            << "no block gated at cycle " << sim->numCycles();
+    }
+    sim->cycle(256);
+    EXPECT_GT(top->stats().received, 0u) << "degenerate scenario";
+}
+
+// ------------------------------------------ packed flop words
+
+/**
+ * The profile layout bit-packs narrow nets into shared words, so the
+ * gated flop phase compares packed flop words whole. Gated and
+ * ungated runs must still agree on every net and statistic.
+ */
+class GatingProfileLayout : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(GatingProfileLayout, StateAndStatsMatchUngated)
+{
+    const std::string backend = GetParam();
+    if (needsCompiler(backend) && !CppJit::compilerAvailable())
+        GTEST_SKIP() << "no host compiler";
+    SimConfig cfg = gateCfg(backend, 1, true);
+    cfg.layout = LayoutPolicy::Profile;
+    {
+        auto top = makeTop(41);
+        auto sim = makeSimulator(top->elaborate(), cfg);
+        ASSERT_GT(sim->layoutStats().packed_nets, 0)
+            << "profile layout packed nothing; the case covers no "
+               "packed words";
+    }
+    runGatingEquiv(cfg, 192, 41, backend + " profile");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sequential, GatingProfileLayout,
+    ::testing::Values(std::string("optinterp"), std::string("bytecode"),
+                      std::string("cpp-block")),
+    [](const ::testing::TestParamInfo<std::string> &i) {
+        return paramName(i.param, 1);
+    });
+
+// --------------------------------------- hybrid static schedule
+
+/**
+ * Boxed-host hybrids under the static schedule keep step-level
+ * gating: a specialized group marshals its boundary once and runs
+ * whole when any member block is dirty.
+ */
+class GatingHybridStatic : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(GatingHybridStatic, StateAndStatsMatchUngated)
+{
+    const std::string backend = GetParam();
+    if (needsCompiler(backend) && !CppJit::compilerAvailable())
+        GTEST_SKIP() << "no host compiler";
+    SimConfig cfg = gateCfg(backend, 1, true);
+    cfg.sched = SchedMode::Static;
+    runGatingEquiv(cfg, 96, 53, backend + " static");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sequential, GatingHybridStatic,
+    ::testing::Values(std::string("interp+bytecode"),
+                      std::string("interp+cpp-block")),
+    [](const ::testing::TestParamInfo<std::string> &i) {
+        return paramName(i.param, 1);
+    });
+
+// ------------------------------------------------- multi-tile
+
+/**
+ * Lockstep gated vs ungated on the multi-tile system: RTL tiles (IR
+ * blocks reading and writing register-file and cache arrays) over the
+ * CL mesh (host lambdas whose writeNext registers dynamic flops),
+ * running mvmult to a halt.
+ */
+class GatingMultiTile : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(GatingMultiTile, LockstepMatchesUngated)
+{
+    using namespace tile;
+    const std::string backend = GetParam();
+    if (needsCompiler(backend) && !CppJit::compilerAvailable())
+        GTEST_SKIP() << "no host compiler";
+    Workload w = makeMvmultMultiTile(8, /*use_accel=*/false);
+    auto makeSys = [&] {
+        auto sys = std::make_unique<MultiTileSystem>(
+            "sys",
+            std::vector<std::array<Level, 3>>(
+                4, {Level::RTL, Level::RTL, Level::RTL}),
+            /*cl_network=*/true);
+        sys->loadProgram(w.image);
+        loadMvmultData(sys->memNode(), w);
+        return sys;
+    };
+    auto sys_on = makeSys();
+    auto sys_off = makeSys();
+    auto on = makeSimulator(sys_on->elaborate(), gateCfg(backend, 1, true));
+    auto off =
+        makeSimulator(sys_off->elaborate(), gateCfg(backend, 1, false));
+    on->reset();
+    off->reset();
+    const int limit = 20000;
+    int c = 0;
+    while (c < limit && !(sys_on->allHalted() && sys_off->allHalted())) {
+        on->cycle();
+        off->cycle();
+        ++c;
+        if (c % 64 == 0)
+            expectSameState(*on, *off, backend);
+        ASSERT_EQ(sys_on->allHalted(), sys_off->allHalted())
+            << backend << ": halt diverged at cycle " << c;
+    }
+    ASSERT_TRUE(sys_on->allHalted()) << backend << ": no halt by " << limit;
+    expectSameState(*on, *off, backend);
+    EXPECT_FALSE(on->dynamicFlopNets().empty())
+        << "no dynamic flops: the CL mesh lambdas went uncovered";
+    EXPECT_GT(on->gatedSteps(), 0u) << backend;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sequential, GatingMultiTile,
+    ::testing::Values(std::string("bytecode"), std::string("cpp-block")),
+    [](const ::testing::TestParamInfo<std::string> &i) {
+        return paramName(i.param, 1);
+    });
 
 } // namespace
 } // namespace cmtl
