@@ -48,16 +48,14 @@ main(int argc, char **argv)
     std::printf("%-8s %-8s %12s %12s %9s\n", "net", "storage", "event",
                 "static", "ratio");
     for (NetLevel level : {NetLevel::CLSpec, NetLevel::RTL}) {
-        for (ExecMode exec : {ExecMode::Interp, ExecMode::OptInterp}) {
-            SimConfig ev{exec, SpecMode::None, SchedMode::Event, "",
-                         true};
-            SimConfig st{exec, SpecMode::None, SchedMode::Static, "",
-                         true};
+        for (const char *backend : {"interp", "optinterp"}) {
+            SimConfig ev = backendConfig(backend, SchedMode::Event);
+            SimConfig st = backendConfig(backend, SchedMode::Static);
             double r_ev = rate(level, ev);
             double r_st = rate(level, st);
             std::printf("%-8s %-8s %12.0f %12.0f %8.2fx\n",
                         netLevelName(level),
-                        exec == ExecMode::Interp ? "boxed" : "slot",
+                        backendBoxedHost(ev.backend) ? "boxed" : "slot",
                         r_ev, r_st, r_st / r_ev);
         }
     }
@@ -69,10 +67,8 @@ main(int argc, char **argv)
                 "ratio");
     for (NetLevel level :
          {NetLevel::FL, NetLevel::CLSpec, NetLevel::RTL}) {
-        SimConfig boxed{ExecMode::Interp, SpecMode::None,
-                        SchedMode::Static, "", true};
-        SimConfig slot{ExecMode::OptInterp, SpecMode::None,
-                       SchedMode::Static, "", true};
+        SimConfig boxed = backendConfig("interp", SchedMode::Static);
+        SimConfig slot = backendConfig("optinterp", SchedMode::Static);
         double r_b = rate(level, boxed);
         double r_s = rate(level, slot);
         std::printf("%-8s %12.0f %12.0f %8.2fx\n", netLevelName(level),
@@ -84,17 +80,14 @@ main(int argc, char **argv)
     rule('=');
     std::printf("%-12s %12s\n", "engine", "cycles/s");
     {
-        SimConfig none{ExecMode::OptInterp, SpecMode::None,
-                       SchedMode::Auto, "", true};
-        SimConfig bc{ExecMode::OptInterp, SpecMode::Bytecode,
-                     SchedMode::Auto, "", true};
+        SimConfig none = backendConfig("optinterp");
+        SimConfig bc = backendConfig("bytecode");
         std::printf("%-12s %12.0f\n", "tree-walk",
                     rate(NetLevel::RTL, none));
         std::printf("%-12s %12.0f\n", "bytecode",
                     rate(NetLevel::RTL, bc));
         if (CppJit::compilerAvailable()) {
-            SimConfig cpp{ExecMode::OptInterp, SpecMode::Cpp,
-                          SchedMode::Auto, "", true};
+            SimConfig cpp = backendConfig("cpp-block");
             std::printf("%-12s %12.0f\n", "compiled C++",
                         rate(NetLevel::RTL, cpp));
         }

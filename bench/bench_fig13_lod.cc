@@ -86,8 +86,7 @@ main(int argc, char **argv)
         iss_time = sw.elapsed() / reps;
     }
 
-    SimConfig cpython{ExecMode::Interp, SpecMode::None, SchedMode::Auto,
-                      "", true};
+    SimConfig cpython = backendConfig("interp");
     SimConfig simjit = simjitConfig(opts);
 
     std::printf("Figure 13: simulator performance vs level of detail\n");

@@ -103,7 +103,8 @@ main(int argc, char **argv)
         std::vector<std::pair<ModeSpec, RateResult>> results;
         for (const ModeSpec &mode : modes) {
             if (level == NetLevel::FL &&
-                mode.cfg.spec != SpecMode::None)
+                mode.cfg.backend != Backend::Interp &&
+                mode.cfg.backend != Backend::OptInterp)
                 continue; // no FL specializer exists (paper Sec IV)
             results.emplace_back(mode,
                                  measureLevel(level, mode.cfg));

@@ -68,8 +68,7 @@ main(int argc, char **argv)
             int i = 0;
             for (double inj : rates) {
                 RateResult r = measurePoint(level, mode.cfg, inj);
-                if (mode.cfg.exec == ExecMode::Interp &&
-                    mode.cfg.spec == SpecMode::None) {
+                if (mode.cfg.backend == Backend::Interp) {
                     interp_rate.push_back(r.cycles_per_second);
                     std::printf(" %7.0f/s", r.cycles_per_second);
                 } else {

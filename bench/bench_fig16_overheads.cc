@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <utility>
 
 #include "common.h"
 #include "core/translate.h"
@@ -36,8 +37,8 @@ struct Overheads
 };
 
 Overheads
-measure(NetLevel level, int nodes, ExecMode exec, bool use_cache,
-        const std::string &cache_dir)
+measure(NetLevel level, int nodes, const std::string &backend,
+        bool use_cache, const std::string &cache_dir)
 {
     Overheads out{};
     auto top = std::make_unique<MeshTrafficTop>("top", level, nodes, 4,
@@ -57,9 +58,7 @@ measure(NetLevel level, int nodes, ExecMode exec, bool use_cache,
         out.veri = vs.elapsed();
     }
 
-    SimConfig cfg;
-    cfg.exec = exec;
-    cfg.spec = SpecMode::Cpp;
+    SimConfig cfg = SimConfig::fromString(backend);
     cfg.jit_cache = use_cache;
     cfg.jit_cache_dir = cache_dir;
     SimulationTool sim(elab, cfg);
@@ -108,14 +107,13 @@ main(int argc, char **argv)
 
     for (NetLevel level : {NetLevel::CLSpec, NetLevel::RTL}) {
         for (int nodes : {16, 64}) {
-            for (ExecMode exec :
-                 {ExecMode::Interp, ExecMode::OptInterp}) {
-                Overheads o = measure(level, nodes, exec,
+            for (const auto &[host, backend] :
+                 {std::pair{"CPython", "interp+cpp-block"},
+                  std::pair{"PyPy", "cpp-block"}}) {
+                Overheads o = measure(level, nodes, backend,
                                       /*use_cache=*/false, cold_dir);
                 printRow(level == NetLevel::CLSpec ? "CL" : "RTL",
-                         nodes,
-                         exec == ExecMode::Interp ? "CPython" : "PyPy",
-                         o);
+                         nodes, host, o);
             }
         }
     }
@@ -123,8 +121,8 @@ main(int argc, char **argv)
     rule();
     std::printf("with the translation cache warm (second run of the "
                 "same design):\n");
-    Overheads warm = measure(NetLevel::RTL, 64, ExecMode::OptInterp,
-                             true, cold_dir);
+    Overheads warm = measure(NetLevel::RTL, 64, "cpp-block", true,
+                             cold_dir);
     printRow("RTL", 64, "PyPy", warm);
 
     std::system(("rm -rf " + cold_dir).c_str());

@@ -8,7 +8,7 @@
  * system over the CL mesh — and records the machine-readable perf
  * baseline in BENCH_parallel_scaling.json. Speedups are self-relative
  * (ParSim at N threads vs the sequential SimulationTool on the same
- * design and SpecMode), the honest number for a bulk-synchronous
+ * design and backend), the honest number for a bulk-synchronous
  * kernel: it includes every barrier and boundary-push cost.
  *
  * Points whose thread count exceeds the host's hardware threads are

@@ -40,6 +40,16 @@ struct ModeSpec
     SimConfig cfg;
 };
 
+/** The configuration named by a canonical backend string, with the
+ *  given comb scheduling policy. */
+inline SimConfig
+backendConfig(const std::string &backend, SchedMode sched = SchedMode::Auto)
+{
+    SimConfig cfg = SimConfig::fromString(backend);
+    cfg.sched = sched;
+    return cfg;
+}
+
 /**
  * The four framework configurations of the paper's Figure 14, in
  * order. SimJIT rows use the compiled-C++ specializer when a host
@@ -48,19 +58,12 @@ struct ModeSpec
 inline std::vector<ModeSpec>
 paperModes()
 {
-    SpecMode spec = CppJit::compilerAvailable() ? SpecMode::Cpp
-                                                : SpecMode::Bytecode;
-    std::vector<ModeSpec> modes;
-    modes.push_back({"CPython", {ExecMode::Interp, SpecMode::None,
-                                 SchedMode::Auto, "", true}});
-    modes.push_back({"PyPy", {ExecMode::OptInterp, SpecMode::None,
-                              SchedMode::Auto, "", true}});
-    modes.push_back(
-        {"SimJIT", {ExecMode::Interp, spec, SchedMode::Auto, "", true}});
-    modes.push_back({"SimJIT+PyPy",
-                     {ExecMode::OptInterp, spec, SchedMode::Auto, "",
-                      true}});
-    return modes;
+    const std::string spec =
+        CppJit::compilerAvailable() ? "cpp-block" : "bytecode";
+    return {{"CPython", backendConfig("interp")},
+            {"PyPy", backendConfig("optinterp")},
+            {"SimJIT", backendConfig("interp+" + spec)},
+            {"SimJIT+PyPy", backendConfig(spec)}};
 }
 
 /**
@@ -75,7 +78,6 @@ paperModes(const SimOptions &opts)
         return paperModes();
     SimConfig chosen = opts.cfg;
     chosen.threads = 1;
-    chosen.resolve();
     std::vector<ModeSpec> modes;
     modes.push_back(paperModes().front()); // CPython baseline
     if (chosen.toString() != "interp")
@@ -102,14 +104,10 @@ simjitConfig(const SimOptions &opts)
     if (opts.backend_set) {
         cfg = opts.cfg;
         cfg.threads = 1;
-        cfg.resolve();
         return cfg;
     }
-    cfg.exec = ExecMode::OptInterp;
-    cfg.spec = CppJit::compilerAvailable() ? SpecMode::Cpp
-                                           : SpecMode::Bytecode;
-    cfg.resolve();
-    return cfg;
+    return backendConfig(CppJit::compilerAvailable() ? "cpp-block"
+                                                     : "bytecode");
 }
 
 /** Result of an adaptive rate measurement. */

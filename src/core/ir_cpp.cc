@@ -361,26 +361,6 @@ cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
                 std::ostringstream body;
                 BlockEmitter(blk, store, body, &alias).run(8);
                 os << body.str() << "    }\n";
-            } else if (item.flopNet >= 0) {
-                // next -> current register copy. Packed nets copy
-                // only their field: word-mates may be combinational
-                // (dynamically registered flops) or flop separately.
-                int net = item.flopNet;
-                int cur = store.offset(net);
-                int nxt = cur + store.wordsPerPhase();
-                if (store.packed(net)) {
-                    std::string m = maskHex(store.nbits(net));
-                    int sh = store.shift(net);
-                    os << "    w[" << cur << "] = (w[" << cur
-                       << "] & ~(" << m << " << " << sh << ")) | (w["
-                       << nxt << "] & (" << m << " << " << sh
-                       << "));\n";
-                } else {
-                    for (int wd = 0; wd < store.nwords(net); ++wd) {
-                        os << "    w[" << cur + wd << "] = w["
-                           << nxt + wd << "];\n";
-                    }
-                }
             } else {
                 // Coalesced flop range: straight word copies, long
                 // runs as a loop the compiler turns into memmove.

@@ -43,11 +43,10 @@ struct CppUnit
 {
     struct Item
     {
-        int block = -1;   //!< ElabBlock index to execute, or
-        int flopNet = -1; //!< net to copy next -> current (block < 0)
-        /** Whole-word flop range (block < 0, flopNet < 0): copy
-         *  rangeWords words next -> current starting at rangeOff.
-         *  Produced from ArenaLayout::flopPlan(). */
+        int block = -1; //!< ElabBlock index to execute, or
+        /** Whole-word flop range (block < 0): copy rangeWords words
+         *  next -> current starting at rangeOff. Produced from
+         *  ArenaLayout::flopPlan(). */
         int rangeOff = -1;
         int rangeWords = 0;
     };

@@ -161,7 +161,21 @@ void
 BoxedEvaluator::run(const ElabBlock &blk, std::vector<int> *changed)
 {
     temps_.assign(blk.ir->temps.size(), nullptr);
-    exec(blk.ir->stmts, blk.ir->sequential, changed);
+    if (!changed || !blk.readsOwnWrites) {
+        exec(blk.ir->stmts, blk.ir->sequential, changed);
+        return;
+    }
+    // A block reading its own target (full assign, then a slice
+    // assign) commits intermediate values; reporting those would
+    // re-trigger the block on itself forever. Report final changes.
+    before_.clear();
+    for (int net : blk.writes)
+        before_.push_back(store_.read(net));
+    exec(blk.ir->stmts, false, nullptr);
+    for (size_t i = 0; i < blk.writes.size(); ++i) {
+        if (store_.read(blk.writes[i]) != before_[i])
+            changed->push_back(blk.writes[i]);
+    }
 }
 
 // --------------------------------------------------------- SlotEvaluator
@@ -260,7 +274,19 @@ void
 SlotEvaluator::run(const ElabBlock &blk, std::vector<int> *changed)
 {
     temps_.assign(blk.ir->temps.size(), Bits());
-    exec(blk.ir->stmts, blk.ir->sequential, changed);
+    if (!changed || !blk.readsOwnWrites) {
+        exec(blk.ir->stmts, blk.ir->sequential, changed);
+        return;
+    }
+    // Final-value change reporting, as in BoxedEvaluator::run.
+    before_.clear();
+    for (int net : blk.writes)
+        before_.push_back(store_.read(net));
+    exec(blk.ir->stmts, false, nullptr);
+    for (size_t i = 0; i < blk.writes.size(); ++i) {
+        if (store_.read(blk.writes[i]) != before_[i])
+            changed->push_back(blk.writes[i]);
+    }
 }
 
 } // namespace cmtl

@@ -45,7 +45,9 @@ class BoxedEvaluator
     /**
      * Execute one IR block. For combinational blocks, nets whose
      * current value changed are appended to @p changed (when non-null)
-     * to drive the event-driven scheduler.
+     * to drive the event-driven scheduler; for a block that reads a
+     * net it writes, only nets whose final value differs from their
+     * value before the run.
      */
     void run(const ElabBlock &blk, std::vector<int> *changed = nullptr);
 
@@ -57,6 +59,7 @@ class BoxedEvaluator
 
     BoxedStore &store_;
     std::vector<Box> temps_;
+    std::vector<Bits> before_; //!< self-reading block: pre-run writes
 };
 
 /** PyPy-analog evaluator over dense arena storage. */
@@ -74,6 +77,7 @@ class SlotEvaluator
 
     ArenaStore &store_;
     std::vector<Bits> temps_;
+    std::vector<Bits> before_; //!< self-reading block: pre-run writes
 };
 
 } // namespace cmtl

@@ -1,6 +1,7 @@
 #include "layout.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 
 #include "partition.h"
@@ -296,11 +297,9 @@ ArenaLayout::flopPlan(const std::vector<int> &flop_nets) const
     }
     for (int net : flop_nets) {
         const LayoutSlot &s = slots_[net];
-        bool whole = true;
         for (int w = 0; w < s.nwords; ++w)
-            whole = whole && copyable[s.word_off + w];
-        if (!whole)
-            plan.rmw_nets.push_back(net);
+            assert(copyable[s.word_off + w] &&
+                   "flop net shares a word with a non-flop resident");
     }
     for (int w = 0; w < words_per_phase_; ++w) {
         if (!copyable[w])

@@ -95,13 +95,11 @@ struct FlopRange
 
 /**
  * Precomputed flop phase: contiguous whole-word copy ranges replace
- * per-net stores, plus the packed nets whose word-mates are not all
- * flopped and therefore still need a masked read-modify-write copy.
+ * per-net stores.
  */
 struct FlopCopyPlan
 {
     std::vector<FlopRange> ranges;
-    std::vector<int> rmw_nets;
 };
 
 /**
@@ -141,8 +139,11 @@ class ArenaLayout
 
     /**
      * Coalesce @p flop_nets into whole-word copy ranges. A word joins
-     * a range iff every net resident in it is in the set; packed nets
-     * in impure words fall back to the rmw list.
+     * a range iff every net resident in it is in the set. Every caller
+     * passes static flops only (the whole set, or one ParSim island's
+     * owned share), and packing never crosses the static-flop class or
+     * an owner island, so each flop net's words are whole-copyable
+     * (asserted).
      */
     FlopCopyPlan flopPlan(const std::vector<int> &flop_nets) const;
 

@@ -1,6 +1,7 @@
 #include "model.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
@@ -321,6 +322,14 @@ class Elaborator
                         elab->arrayToken(array->arrayId()));
                 dedupNets(blk.reads);
                 dedupNets(blk.writes);
+                if (!ir.sequential) {
+                    std::vector<int> both;
+                    std::set_intersection(
+                        blk.reads.begin(), blk.reads.end(),
+                        blk.writes.begin(), blk.writes.end(),
+                        std::back_inserter(both));
+                    blk.readsOwnWrites = !both.empty();
+                }
                 elab->blocks.push_back(std::move(blk));
             }
         }

@@ -61,6 +61,9 @@ struct ElabBlock
     const IrBlock *ir = nullptr; //!< IR blocks
     std::vector<int> reads;      //!< net ids read (comb scheduling)
     std::vector<int> writes;     //!< net ids written
+    /** Comb IR block that reads a net it also writes (e.g. a slice
+     *  assign, whose read-modify-write reads its target). */
+    bool readsOwnWrites = false;
 };
 
 /**

@@ -31,9 +31,10 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
 {
     Stopwatch sw;
 
-    if (cfg_.exec != ExecMode::OptInterp) {
+    if (backendBoxedHost(cfg_.backend)) {
         throw std::logic_error(
-            "ParSim requires ExecMode::OptInterp (dense arena storage)");
+            "ParSim requires an arena-hosted backend (dense arena "
+            "storage); got " + cfg_.toString());
     }
     if (cfg_.sched == SchedMode::Event) {
         throw std::logic_error(
@@ -86,7 +87,7 @@ ParSimulationTool::ParSimulationTool(std::shared_ptr<Elaboration> elab,
         buildIslandSchedules();
         buildGating();
         double create_before_spec = sw.elapsed();
-        if (cfg_.spec != SpecMode::None)
+        if (specialized())
             specialize();
         startWorkers();
         spec_stats_.simCreateSeconds =
@@ -296,7 +297,7 @@ ParSimulationTool::specialize()
     }
 
     const bool design = designMode();
-    if (cfg_.spec == SpecMode::Bytecode || design) {
+    if (!perBlockCpp()) {
         // One shared program per block: programs address the arena by
         // absolute offset, so every island runs them against its own
         // replica's data pointer. Scratch is per island. For
@@ -332,43 +333,23 @@ ParSimulationTool::specialize()
         return;
     }
 
-    // SpecMode::Cpp per-block (cpp-block): every specialized block is
-    // its own compiled entry point, invoked with the island's replica
-    // data pointer — one C-ABI crossing per block per phase, the same
+    // Per-block C++ (cpp-block): every specialized block is its own
+    // compiled entry point, invoked with the island's replica data
+    // pointer — one C-ABI crossing per block per phase, the same
     // granularity as the sequential kernel.
-    const bool per_block = cfg_.backend == Backend::CppBlock;
     std::vector<std::vector<int>> groups;
-    auto groupSteps = [&](std::vector<PStep> &steps, bool levelBound) {
-        std::vector<PStep> out;
-        size_t i = 0;
-        while (i < steps.size()) {
-            if (!specialized_[steps[i].block]) {
-                out.push_back(steps[i]);
-                ++i;
+    auto groupSteps = [&](std::vector<PStep> &steps) {
+        for (PStep &step : steps) {
+            if (!specialized_[step.block])
                 continue;
-            }
-            std::vector<int> group;
-            size_t j = i;
-            while (j < steps.size() && specialized_[steps[j].block] &&
-                   (!levelBound || steps[j].level == steps[i].level) &&
-                   (group.empty() || !per_block)) {
-                group.push_back(steps[j].block);
-                ++j;
-            }
-            PStep step;
             step.kind = PStep::Kind::Native;
-            step.block = steps[i].block;
             step.group = static_cast<int>(groups.size());
-            step.level = steps[i].level;
-            groups.push_back(std::move(group));
-            out.push_back(step);
-            i = j;
+            groups.push_back({step.block});
         }
-        steps = std::move(out);
     };
     for (int i = 0; i < plan_.nislands; ++i) {
-        groupSteps(comb_steps_[i], true);
-        groupSteps(tick_steps_[i], false);
+        groupSteps(comb_steps_[i]);
+        groupSteps(tick_steps_[i]);
     }
     spec_stats_.numGroups = static_cast<int>(groups.size());
 
@@ -420,7 +401,7 @@ ParSimulationTool::specializeDesign()
                 size_t j = k;
                 while (j < steps.size() && specialized_[steps[j].block] &&
                        (!levelBound || steps[j].level == steps[k].level)) {
-                    unit.items.push_back(CppUnit::Item{steps[j].block, -1});
+                    unit.items.push_back(CppUnit::Item{steps[j].block});
                     ++j;
                 }
                 PStep step;
@@ -442,10 +423,7 @@ ParSimulationTool::specializeDesign()
         CppUnit flop_unit;
         const FlopCopyPlan &fplan = island_flop_plans_[i];
         for (const FlopRange &r : fplan.ranges)
-            flop_unit.items.push_back(
-                CppUnit::Item{-1, -1, r.off, r.nwords});
-        for (int net : fplan.rmw_nets)
-            flop_unit.items.push_back(CppUnit::Item{-1, net});
+            flop_unit.items.push_back(CppUnit::Item{-1, r.off, r.nwords});
         island_flop_unit_[i] = static_cast<int>(units.size());
         units.push_back(std::move(flop_unit));
 
@@ -796,12 +774,8 @@ ParSimulationTool::runIslandFlop(int island)
         if (changed)
             island_dirty_[island].store(1, std::memory_order_relaxed);
     } else {
-        // Whole-word range copies of the island's static flop set;
-        // packed stragglers keep a masked per-net copy.
-        const FlopCopyPlan &fplan = island_flop_plans_[island];
-        replicas_[island]->flopRanges(fplan.ranges);
-        for (int net : fplan.rmw_nets)
-            replicas_[island]->flop(net);
+        // Whole-word range copies of the island's static flop set.
+        replicas_[island]->flopRanges(island_flop_plans_[island].ranges);
     }
     // Publish post-flop (and blocking-tick-written) current values.
     // No barrier needed before the pushes: each copied net is owned by

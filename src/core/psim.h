@@ -48,9 +48,9 @@
  * (already tick-order-fragile sequentially); blocking communication
  * between IR tick blocks is detected and the blocks are co-located.
  *
- * Requires ExecMode::OptInterp and a statically schedulable design
- * (no combinational cycles); composes with SpecMode::None, ::Bytecode
- * and ::Cpp.
+ * Requires an arena-hosted backend ("optinterp", "bytecode",
+ * "cpp-block" or "cpp-design") and a statically schedulable design
+ * (no combinational cycles).
  */
 
 #ifndef CMTL_CORE_PSIM_H
@@ -160,8 +160,6 @@ class ParSimulationTool : public Simulator
         int off;
         int n;
     };
-
-    bool designMode() const { return cfg_.backend == Backend::CppDesign; }
 
     void buildIslandSchedules();
     void buildGating();

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "dataflow.h"
 #include "ir_cpp.h"
@@ -14,101 +15,45 @@ namespace cmtl {
 
 // -------------------------------------------------------------- SimConfig
 
-void
-SimConfig::resolve()
-{
-    if (backend == Backend::Auto) {
-        // Legacy call sites speak exec/spec; give their combination a
-        // canonical name without changing what runs.
-        switch (spec) {
-          case SpecMode::None:
-            backend = exec == ExecMode::Interp ? Backend::Interp
-                                               : Backend::OptInterp;
-            break;
-          case SpecMode::Bytecode:
-            backend = Backend::Bytecode;
-            break;
-          case SpecMode::Cpp:
-            backend = Backend::CppBlock;
-            break;
-        }
-        return;
-    }
-    // Explicit backend: project onto the deprecated fields so code
-    // still reading exec/spec observes a consistent configuration.
-    switch (backend) {
-      case Backend::Auto: // unreachable
-        break;
-      case Backend::Interp:
-        exec = ExecMode::Interp;
-        spec = SpecMode::None;
-        break;
-      case Backend::OptInterp:
-        exec = ExecMode::OptInterp;
-        spec = SpecMode::None;
-        break;
-      case Backend::Bytecode:
-        // exec is preserved: Interp selects the boxed-host hybrid.
-        spec = SpecMode::Bytecode;
-        break;
-      case Backend::CppBlock:
-        spec = SpecMode::Cpp;
-        break;
-      case Backend::CppDesign:
-        exec = ExecMode::OptInterp;
-        spec = SpecMode::Cpp;
-        break;
-    }
-}
+namespace {
+
+/** Every Backend with its one canonical name. */
+constexpr std::pair<Backend, const char *> kBackendNames[] = {
+    {Backend::Interp, "interp"},
+    {Backend::OptInterp, "optinterp"},
+    {Backend::Bytecode, "bytecode"},
+    {Backend::CppBlock, "cpp-block"},
+    {Backend::CppDesign, "cpp-design"},
+    {Backend::InterpBytecode, "interp+bytecode"},
+    {Backend::InterpCppBlock, "interp+cpp-block"},
+};
+
+} // namespace
 
 std::string
 SimConfig::toString() const
 {
-    SimConfig r = *this;
-    r.resolve();
-    const bool hybrid = r.exec == ExecMode::Interp;
-    switch (r.backend) {
-      case Backend::Auto: // resolve() never leaves Auto
-        break;
-      case Backend::Interp: return "interp";
-      case Backend::OptInterp: return "optinterp";
-      case Backend::Bytecode:
-        return hybrid ? "interp+bytecode" : "bytecode";
-      case Backend::CppBlock:
-        return hybrid ? "interp+cpp-block" : "cpp-block";
-      case Backend::CppDesign: return "cpp-design";
+    for (const auto &[b, name] : kBackendNames) {
+        if (b == backend)
+            return name;
     }
-    return "interp";
+    throw std::logic_error("unnamed backend");
 }
 
 SimConfig
 SimConfig::fromString(const std::string &name)
 {
-    SimConfig cfg;
-    if (name == "interp") {
-        cfg.backend = Backend::Interp;
-    } else if (name == "optinterp") {
-        cfg.backend = Backend::OptInterp;
-    } else if (name == "bytecode") {
-        cfg.backend = Backend::Bytecode;
-    } else if (name == "cpp-block" || name == "cpp") {
-        cfg.backend = Backend::CppBlock;
-    } else if (name == "cpp-design") {
-        cfg.backend = Backend::CppDesign;
-    } else if (name == "interp+bytecode") {
-        cfg.backend = Backend::Bytecode;
-        cfg.exec = ExecMode::Interp;
-    } else if (name == "interp+cpp-block" || name == "interp+cpp") {
-        cfg.backend = Backend::CppBlock;
-        cfg.exec = ExecMode::Interp;
-    } else {
-        throw std::invalid_argument(
-            "unknown backend '" + name +
-            "' (expected interp, optinterp, bytecode, cpp-block, "
-            "cpp-design, interp+bytecode or interp+cpp-block)");
+    for (const auto &[b, canonical] : kBackendNames) {
+        if (name == canonical) {
+            SimConfig cfg;
+            cfg.backend = b;
+            return cfg;
+        }
     }
-    cfg.resolve();
-    return cfg;
+    throw std::invalid_argument(
+        "unknown backend '" + name +
+        "' (expected interp, optinterp, bytecode, cpp-block, "
+        "cpp-design, interp+bytecode or interp+cpp-block)");
 }
 
 // ------------------------------------------------------------- Simulator
@@ -160,13 +105,13 @@ Simulator::lineTrace() const
 
 SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
                                SimConfig cfg)
-    : Simulator(std::move(elab), cfg)
+    : Simulator(std::move(elab), cfg),
+      boxed_host_(backendBoxedHost(cfg.backend))
 {
     Stopwatch sw;
 
-    event_driven_ =
-        cfg_.sched == SchedMode::Event ||
-        (cfg_.sched == SchedMode::Auto && cfg_.exec == ExecMode::Interp);
+    event_driven_ = cfg_.sched == SchedMode::Event ||
+                    (cfg_.sched == SchedMode::Auto && useBoxed());
     if (designMode() && event_driven_) {
         throw std::logic_error(
             "cpp-design fuses the static levelized schedule; "
@@ -180,7 +125,7 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
 
     if (useBoxed())
         boxed_ = std::make_unique<BoxedStore>(*elab_);
-    if (!useBoxed() || cfg_.spec != SpecMode::None) {
+    if (!useBoxed() || specialized()) {
         // Sequential kernel: no partition plan, and heat arrives only
         // later through the PGO loop — the static profile layout
         // groups by producer-block schedule order for now.
@@ -234,7 +179,7 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
 
     buildSchedule();
     double create_before_spec = sw.elapsed();
-    if (cfg_.spec != SpecMode::None)
+    if (specialized())
         specialize();
 
     accessor_.bind(arena_.get(), boxed_.get(),
@@ -385,7 +330,7 @@ SimulationTool::specialize()
     // describe its bytecode warm-up tier; the fused native schedule is
     // built separately in specializeDesign().
     const bool design = designMode();
-    const bool per_block = cfg_.backend == Backend::CppBlock;
+    const bool per_block = perBlockCpp();
     std::vector<std::vector<int>> groups;
     auto groupSteps = [&](std::vector<Step> &steps) {
         std::vector<Step> out;
@@ -418,9 +363,8 @@ SimulationTool::specialize()
                          writes.end());
 
             Step step;
-            step.kind = (cfg_.spec == SpecMode::Cpp && !design)
-                            ? Step::Kind::Native
-                            : Step::Kind::Bytecode;
+            step.kind =
+                per_block ? Step::Kind::Native : Step::Kind::Bytecode;
             step.block = steps[i].block;
             step.group = static_cast<int>(groups.size());
             step.sequential = steps[i].sequential;
@@ -470,7 +414,7 @@ SimulationTool::specialize()
     spec_stats_.numGroups = static_cast<int>(groups.size());
     group_blocks_ = groups;
 
-    if (cfg_.spec == SpecMode::Bytecode || design) {
+    if (!per_block) {
         bc_programs_.resize(blocks.size());
         int max_scratch = 0;
         group_bc_.resize(groups.size());
@@ -665,7 +609,7 @@ SimulationTool::specializeDesign(const std::vector<char> &can,
         step.writes = &blk.writes;
         CppUnit unit;
         for (int b : run)
-            unit.items.push_back(CppUnit::Item{b, -1});
+            unit.items.push_back(CppUnit::Item{b});
         units.push_back(std::move(unit));
         out.push_back(step);
     };
@@ -690,19 +634,15 @@ SimulationTool::specializeDesign(const std::vector<char> &can,
     buildSteps(elab_->tickOrder, design_tick_steps_, true);
 
     // The flop phase of the static flop set, coalesced into whole-word
-    // next->current copy ranges where the layout allows; packed nets
-    // sharing a word with non-flopped residents keep a per-net masked
-    // copy. Nets registered dynamically later (a lambda's writeNext)
-    // stay on the host loop — see doFlop.
+    // next->current copy ranges. Nets registered dynamically later (a
+    // lambda's writeNext) stay on the host loop — see doFlop.
     std::vector<int> static_flops(flopped_nets_.begin(),
                                   flopped_nets_.begin() +
                                       static_cast<long>(n_static_flops_));
     FlopCopyPlan plan = store.layout().flopPlan(static_flops);
     CppUnit flop_unit;
     for (const FlopRange &r : plan.ranges)
-        flop_unit.items.push_back(CppUnit::Item{-1, -1, r.off, r.nwords});
-    for (int net : plan.rmw_nets)
-        flop_unit.items.push_back(CppUnit::Item{-1, net});
+        flop_unit.items.push_back(CppUnit::Item{-1, r.off, r.nwords});
     design_flop_unit_ = static_cast<int>(units.size());
     units.push_back(flop_unit);
 
@@ -1380,17 +1320,12 @@ SimulationTool::doFlop(std::vector<int> *changed)
         return;
     }
     if (arena_ && !useBoxed() && !changed) {
-        // Copy the static flop set as whole-word ranges (plus the
-        // masked stragglers whose word-mates are not all flopped),
-        // then the dynamic tail; gating change-detects per range.
+        // Copy the static flop set as whole-word ranges, then the
+        // dynamic tail; gating change-detects per range.
         if (gating_)
             flopRangesGated();
         else
             arena_->flopRanges(flop_plan_.ranges);
-        for (int net : flop_plan_.rmw_nets) {
-            if (arena_->flop(net) && gating_)
-                markTokenBlocksDirty(net);
-        }
         for (size_t i = n_static_flops_; i < flopped_nets_.size(); ++i) {
             if (arena_->flop(flopped_nets_[i]) && gating_)
                 markTokenBlocksDirty(flopped_nets_[i]);

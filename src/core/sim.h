@@ -3,29 +3,30 @@
  * SimulationTool: the CMTL simulator generator.
  *
  * Consumes an Elaboration and builds a simulator for it. The execution
- * strategy reproduces the performance axes studied in the PyMTL paper:
+ * strategy — SimConfig::backend, spelled by its canonical string —
+ * reproduces the performance axes studied in the PyMTL paper:
  *
- *   ExecMode::Interp    "CPython"  boxed dictionary storage, dynamic
- *                                  event-driven scheduling, tree-walk
- *                                  IR evaluation over boxed values
- *   ExecMode::OptInterp "PyPy"     dense arena storage, slot-bound
- *                                  accessors, statically levelized
- *                                  scheduling, by-value tree-walk IR
+ *   "interp"      "CPython"  boxed dictionary storage, dynamic
+ *                            event-driven scheduling, tree-walk IR
+ *                            evaluation over boxed values
+ *   "optinterp"   "PyPy"     dense arena storage, slot-bound accessors,
+ *                            statically levelized scheduling, by-value
+ *                            tree-walk IR
+ *   "bytecode"    "SimJIT"   IR blocks compiled to a flat
+ *                            register-machine bytecode over the arena
+ *                            at simulator construction
+ *   "cpp-block"   "SimJIT"   IR blocks translated to C++, compiled with
+ *                            the system compiler, dlopen'ed and called
+ *                            natively, one entry point per block
+ *   "cpp-design"             the whole design fused into one compiled
+ *                            translation unit (see Backend)
  *
- *   SpecMode::None                 no specialization
- *   SpecMode::Bytecode  "SimJIT"   IR blocks compiled to a flat
- *                                  register-machine bytecode over the
- *                                  arena at simulator construction
- *   SpecMode::Cpp       "SimJIT"   IR blocks translated to C++,
- *                                  compiled with the system compiler,
- *                                  dlopen'ed and called natively
- *
- * Combining SpecMode != None with ExecMode::Interp reproduces the
+ * The hybrids "interp+bytecode" and "interp+cpp-block" reproduce the
  * paper's "SimJIT under CPython" configuration: specialized blocks run
  * on the arena, but every entry/exit crosses a boxed<->arena marshal
  * boundary (the CFFI wrapper overhead); unspecialized lambda blocks
- * stay fully boxed. With ExecMode::OptInterp the arena is shared and
- * boundary crossings vanish (the "SimJIT+PyPy" configuration).
+ * stay fully boxed. On the arena-hosted backends the arena is shared
+ * and boundary crossings vanish (the "SimJIT+PyPy" configuration).
  *
  * Cycle semantics (two-phase): cycle() settles combinational logic,
  * runs all tick blocks (which read current values and write next
@@ -54,64 +55,64 @@
 
 namespace cmtl {
 
-/**
- * Host-execution strategy (the CPython/PyPy axis).
- * @deprecated Set SimConfig::backend instead; kept so existing call
- * sites compile (resolved into a Backend by SimConfig::resolve()).
- */
-enum class ExecMode { Interp, OptInterp };
-
-/**
- * Specialization strategy (the SimJIT axis).
- * @deprecated Set SimConfig::backend instead; kept so existing call
- * sites compile (resolved into a Backend by SimConfig::resolve()).
- */
-enum class SpecMode { None, Bytecode, Cpp };
-
 /** Combinational scheduling policy. */
 enum class SchedMode
 {
-    Auto,   //!< event-driven under Interp, static under OptInterp
+    Auto,   //!< event-driven on the boxed host, static otherwise
     Event,  //!< dynamic event-driven with sensitivity lists
     Static, //!< statically levelized (rejects combinational cycles)
 };
 
 /**
- * Unified backend descriptor: the one front door that replaces the
- * ExecMode x SpecMode matrix. Canonical strings (SimConfig::toString /
- * fromString round-trip):
+ * How a design runs: the one execution-strategy selector. Each value
+ * has one canonical string (SimConfig::toString / fromString
+ * round-trip):
  *
- *   "interp"      boxed storage, event-driven, tree-walk  ("CPython")
- *   "optinterp"   arena storage, static levelized schedule  ("PyPy")
- *   "bytecode"    arena + per-block register bytecode     ("SimJIT")
- *   "cpp-block"   per-block compiled C++, one C-ABI call per block
- *                 per phase (the paper's per-component SimJIT)
- *   "cpp-design"  the whole elaborated design fused into a single
- *                 compiled translation unit with tiered warm-up:
- *                 the simulator starts on the bytecode tier and
- *                 hot-swaps to the native module at a cycle boundary
- *                 when the background compile finishes
+ *   "interp"            boxed storage, event-driven, tree-walk
+ *                       ("CPython")
+ *   "optinterp"         arena storage, static levelized schedule
+ *                       ("PyPy")
+ *   "bytecode"          arena + per-block register bytecode ("SimJIT")
+ *   "cpp-block"         per-block compiled C++, one C-ABI call per
+ *                       block per phase (the paper's per-component
+ *                       SimJIT)
+ *   "cpp-design"        the whole elaborated design fused into a single
+ *                       compiled translation unit with tiered warm-up:
+ *                       the simulator starts on the bytecode tier and
+ *                       hot-swaps to the native module at a cycle
+ *                       boundary when the background compile finishes
+ *   "interp+bytecode"   boxed host + bytecode-specialized blocks
+ *   "interp+cpp-block"  boxed host + per-block compiled C++
  *
- * Hybrid boxed-host configurations keep their own spellings:
- * "interp+bytecode" and "interp+cpp-block" (specialized blocks run on
- * the arena, every entry/exit crosses the boxed<->arena marshal
- * boundary — the CFFI overhead configuration of the paper).
+ * The two hybrids run specialized blocks on the arena while every
+ * entry/exit crosses the boxed<->arena marshal boundary — the CFFI
+ * overhead configuration of the paper. Interp and the hybrids are the
+ * boxed-host backends; the rest are arena-hosted.
  */
 enum class Backend
 {
-    Auto,      //!< derive from the deprecated exec/spec fields
-    Interp,    //!< "interp"
-    OptInterp, //!< "optinterp"
-    Bytecode,  //!< "bytecode" (exec selects the hybrid variant)
-    CppBlock,  //!< "cpp-block" (exec selects the hybrid variant)
-    CppDesign, //!< "cpp-design" (always arena-hosted)
+    OptInterp,      //!< "optinterp" (the default)
+    Bytecode,       //!< "bytecode"
+    CppBlock,       //!< "cpp-block"
+    CppDesign,      //!< "cpp-design"
+    Interp,         //!< "interp"
+    InterpBytecode, //!< "interp+bytecode"
+    InterpCppBlock, //!< "interp+cpp-block"
 };
+
+/** True for the backends that keep boxed (dictionary) storage. */
+constexpr bool
+backendBoxedHost(Backend b)
+{
+    return b == Backend::Interp || b == Backend::InterpBytecode ||
+           b == Backend::InterpCppBlock;
+}
 
 /** Simulator configuration. */
 struct SimConfig
 {
-    ExecMode exec = ExecMode::OptInterp; //!< @deprecated use backend
-    SpecMode spec = SpecMode::None;      //!< @deprecated use backend
+    /** How the design runs (see Backend). */
+    Backend backend = Backend::OptInterp;
     SchedMode sched = SchedMode::Auto;
     std::string jit_cache_dir; //!< empty = CppJit::defaultCacheDir()
     bool jit_cache = true;     //!< reuse compiled libraries on disk
@@ -120,12 +121,6 @@ struct SimConfig
      * 1 = the sequential kernel below; makeSimulator() dispatches.
      */
     int threads = 1;
-    /**
-     * The unified backend selector. Auto derives the backend from the
-     * deprecated exec/spec pair, so legacy configurations keep their
-     * exact meaning; any other value overrides exec/spec.
-     */
-    Backend backend = Backend::Auto;
     /**
      * cpp-design only: run on the bytecode tier while the compiler
      * runs in a background thread, hot-swapping at a cycle boundary
@@ -174,21 +169,12 @@ struct SimConfig
      */
     uint64_t pgo_warm_cycles = 2000;
 
-    /**
-     * Normalize the config in place: derive backend from exec/spec
-     * when Auto, otherwise project the backend onto the deprecated
-     * fields so legacy code reading them keeps working. Idempotent;
-     * simulators call this on construction.
-     */
-    void resolve();
-
     /** Canonical backend string ("cpp-design", "interp+bytecode", ...). */
     std::string toString() const;
 
     /**
-     * Parse a canonical backend string (accepts the deprecated alias
-     * "cpp" for "cpp-block"). Other fields take their defaults.
-     * Throws std::invalid_argument on an unknown name.
+     * Parse a canonical backend string. Other fields take their
+     * defaults. Throws std::invalid_argument on an unknown name.
      */
     static SimConfig fromString(const std::string &name);
 };
@@ -299,9 +285,7 @@ class Simulator : public SignalAccess
   public:
     Simulator(std::shared_ptr<Elaboration> elab, SimConfig cfg)
         : elab_(std::move(elab)), cfg_(cfg)
-    {
-        cfg_.resolve();
-    }
+    {}
 
     /** Advance one clock cycle. */
     virtual void cycle() = 0;
@@ -438,6 +422,21 @@ class Simulator : public SignalAccess
     }
 
   protected:
+    /** Every backend but "interp" and "optinterp" specializes blocks. */
+    bool specialized() const
+    {
+        return cfg_.backend != Backend::Interp &&
+               cfg_.backend != Backend::OptInterp;
+    }
+    /** One compiled C++ entry point per block: "cpp-block" and
+     *  "interp+cpp-block". */
+    bool perBlockCpp() const
+    {
+        return cfg_.backend == Backend::CppBlock ||
+               cfg_.backend == Backend::InterpCppBlock;
+    }
+    bool designMode() const { return cfg_.backend == Backend::CppDesign; }
+
     std::shared_ptr<Elaboration> elab_;
     SimConfig cfg_;
     SpecStats spec_stats_;
@@ -499,9 +498,8 @@ class SimulationTool : public Simulator
         bool sequential = false;
     };
 
-    bool useBoxed() const { return cfg_.exec == ExecMode::Interp; }
+    bool useBoxed() const { return boxed_host_; }
     bool eventDriven() const { return event_driven_; }
-    bool designMode() const { return cfg_.backend == Backend::CppDesign; }
 
     Step makeStep(int idx) const;
     void buildSchedule();
@@ -574,6 +572,8 @@ class SimulationTool : public Simulator
             block_dirty_[*b] = 1;
     }
 
+    /** Boxed-host backend; fixed at construction (accessor hot path). */
+    const bool boxed_host_;
     std::unique_ptr<BoxedStore> boxed_;
     std::unique_ptr<ArenaStore> arena_;
     std::unique_ptr<BoxedEvaluator> boxed_eval_;

@@ -533,11 +533,7 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
 
         if (w >= 4 && rng.chance(25)) {
             // Build the whole value from width-covering slice assigns
-            // (the test_sim idiom). Never mixed with a full assign:
-            // the slice-assign's implicit read-modify-write would put
-            // `out` in the block's own read set while the overwritten
-            // intermediate commit re-triggers change detection — a
-            // self-loop the event-driven scheduler cannot settle.
+            // (the test_sim idiom).
             int k = rng.irange(1, w - 1);
             b.assignSlice(out, 0, k,
                           fit(genExpr(rng, pool, arrs, k, 2), k));
@@ -560,6 +556,16 @@ FuzzDesign::FuzzDesign(const FuzzSpec &spec)
             IrExpr cond = fit(genExpr(rng, pool, arrs, 1, 2), 1);
             IrExpr alt = fit(genExpr(rng, pool, arrs, w, 2), w);
             b.if_(cond, [&] { b.assign(out, alt); });
+        }
+        if (w >= 4 && rng.chance(25)) {
+            // Patch one field of the full assignment: the slice
+            // assign's read-modify-write puts `out` in the block's own
+            // read set, and its overwritten intermediate value must not
+            // re-trigger the block under event-driven scheduling.
+            int k = rng.irange(1, w - 1);
+            int lsb = rng.irange(0, w - k);
+            b.assignSlice(out, lsb, k,
+                          fit(genExpr(rng, pool, arrs, k, 2), k));
         }
     }
 

@@ -41,13 +41,11 @@ runOneShot(const JobSpec &spec, const DesignFactory &make)
 {
     auto t0 = std::chrono::steady_clock::now();
     JobResult out;
-    SimConfig cfg = spec.cfg;
-    cfg.resolve();
-    out.backend = cfg.toString();
+    out.backend = spec.cfg.toString();
 
     std::unique_ptr<Model> model = make(spec);
     auto elab = model->elaborate();
-    std::unique_ptr<Simulator> sim = makeSimulator(elab, cfg);
+    std::unique_ptr<Simulator> sim = makeSimulator(elab, spec.cfg);
 
     std::unique_ptr<VcdWriter> vcd;
     if (!spec.vcd.empty())
@@ -120,7 +118,6 @@ JobScheduler::costOf(const JobSpec &spec) const
 int
 JobScheduler::submit(JobSpec spec, uint64_t owner, std::string *error)
 {
-    spec.cfg.resolve();
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
         if (error)
@@ -220,11 +217,9 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
     auto t0 = std::chrono::steady_clock::now();
     const JobSpec &spec = job->spec;
     try {
-        SimConfig cfg = spec.cfg;
-        cfg.resolve();
         std::unique_ptr<Model> model = make_design_(spec);
         auto elab = model->elaborate();
-        std::unique_ptr<Simulator> sim = makeSimulator(elab, cfg);
+        std::unique_ptr<Simulator> sim = makeSimulator(elab, spec.cfg);
 
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -282,7 +277,7 @@ JobScheduler::runJob(const std::shared_ptr<Job> &job)
                 JobResult res;
                 res.cycles = sim->numCycles();
                 res.digest = stateDigest(*sim);
-                res.backend = cfg.toString();
+                res.backend = spec.cfg.toString();
                 if (scope) {
                     res.metrics_json = scope->jsonSnapshot();
                     scope->detach();

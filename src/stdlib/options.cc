@@ -75,7 +75,6 @@ SimOptions::helpTable()
         "  --backend=<name>    execution backend: interp | optinterp |\n"
         "                      bytecode | cpp-block | cpp-design |\n"
         "                      interp+bytecode | interp+cpp-block\n"
-        "                      (\"cpp\" is accepted for cpp-block)\n"
         "  --layout=<p>        arena data layout policy: elab (net\n"
         "                      declaration order) | profile (group by\n"
         "                      partition island and producer block,\n"
@@ -126,10 +125,7 @@ SimOptions::parse(int argc, char **argv)
         std::string value;
         if (optionValue("--backend", argc, argv, i, value)) {
             try {
-                SimConfig parsed = SimConfig::fromString(value);
-                opts.cfg.backend = parsed.backend;
-                opts.cfg.exec = parsed.exec;
-                opts.cfg.spec = parsed.spec;
+                opts.cfg.backend = SimConfig::fromString(value).backend;
                 opts.backend_set = true;
             } catch (const std::invalid_argument &e) {
                 std::fprintf(stderr, "%s: %s\n", argv[0], e.what());

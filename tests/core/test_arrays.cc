@@ -188,7 +188,7 @@ TEST(MemArrayTools, SpecializableWithArrays)
     RegFile rf(32, 16);
     auto elab = rf.elaborate();
     SimConfig cfg;
-    cfg.spec = SpecMode::Bytecode;
+    cfg.backend = Backend::Bytecode;
     SimulationTool sim(elab, cfg);
     EXPECT_EQ(sim.specStats().numSpecialized, 2);
 }

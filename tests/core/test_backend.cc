@@ -8,8 +8,8 @@
  * design to byte-identical state and byte-identical VCD streams, at
  * any supported thread count, including across the bytecode->native
  * tier boundary of cpp-design. Plus: canonical-name round-trips,
- * deprecated-enum aliasing, report/SimScope naming, SimOptions CLI
- * parsing, and the JIT cache LRU size cap.
+ * per-backend host and scheduling choice, report/SimScope naming,
+ * SimOptions CLI parsing, and the JIT cache LRU size cap.
  */
 
 #include <gtest/gtest.h>
@@ -63,48 +63,69 @@ TEST(BackendNames, FromStringToStringRoundTrips)
         EXPECT_EQ(SimConfig::fromString(name).toString(), name) << name;
 }
 
-TEST(BackendNames, DeprecatedAliasesResolve)
-{
-    EXPECT_EQ(SimConfig::fromString("cpp").toString(), "cpp-block");
-    EXPECT_EQ(SimConfig::fromString("interp+cpp").toString(),
-              "interp+cpp-block");
-}
-
 TEST(BackendNames, UnknownNameThrows)
 {
     EXPECT_THROW(SimConfig::fromString("pypy"), std::invalid_argument);
     EXPECT_THROW(SimConfig::fromString(""), std::invalid_argument);
 }
 
-TEST(BackendNames, LegacyEnumPairsGetCanonicalNames)
+/** Two comb blocks driving each other: schedulable only event-driven. */
+class CombLoop : public Model
 {
-    // Old call sites set exec/spec only; resolve() must give their
-    // combination the same canonical name the new front door uses.
-    auto name = [](ExecMode e, SpecMode s) {
-        SimConfig cfg;
-        cfg.exec = e;
-        cfg.spec = s;
-        return cfg.toString();
-    };
-    EXPECT_EQ(name(ExecMode::Interp, SpecMode::None), "interp");
-    EXPECT_EQ(name(ExecMode::OptInterp, SpecMode::None), "optinterp");
-    EXPECT_EQ(name(ExecMode::OptInterp, SpecMode::Bytecode), "bytecode");
-    EXPECT_EQ(name(ExecMode::OptInterp, SpecMode::Cpp), "cpp-block");
-    EXPECT_EQ(name(ExecMode::Interp, SpecMode::Bytecode),
-              "interp+bytecode");
-    EXPECT_EQ(name(ExecMode::Interp, SpecMode::Cpp), "interp+cpp-block");
-}
+  public:
+    Wire a, b;
+    CombLoop() : Model(nullptr, "loop"), a(this, "a", 1), b(this, "b", 1)
+    {
+        combinational("fwd").assign(b, ~rd(a));
+        combinational("bwd").assign(a, ~rd(b));
+    }
+};
 
-TEST(BackendNames, ExplicitBackendProjectsOntoLegacyEnums)
+TEST(BackendNames, EveryBackendRoundTripsAndPicksItsHost)
 {
-    // Code that still reads the deprecated fields must observe a
-    // configuration consistent with the chosen backend.
-    SimConfig cfg = SimConfig::fromString("cpp-design");
-    EXPECT_EQ(cfg.exec, ExecMode::OptInterp);
-    EXPECT_EQ(cfg.spec, SpecMode::Cpp);
-    cfg = SimConfig::fromString("interp+bytecode");
-    EXPECT_EQ(cfg.exec, ExecMode::Interp);
-    EXPECT_EQ(cfg.spec, SpecMode::Bytecode);
+    const Backend all[] = {Backend::OptInterp,      Backend::Bytecode,
+                           Backend::CppBlock,       Backend::CppDesign,
+                           Backend::Interp,         Backend::InterpBytecode,
+                           Backend::InterpCppBlock};
+    for (Backend b : all) {
+        SimConfig cfg;
+        cfg.backend = b;
+        const std::string name = cfg.toString();
+        EXPECT_EQ(SimConfig::fromString(name).backend, b) << name;
+        const bool boxed = b == Backend::Interp ||
+                           b == Backend::InterpBytecode ||
+                           b == Backend::InterpCppBlock;
+        EXPECT_EQ(backendBoxedHost(b), boxed) << name;
+
+        // SchedMode::Auto is event-driven exactly on the boxed host:
+        // only an event-driven schedule accepts a comb cycle.
+        if (needsCompiler(name) && !CppJit::compilerAvailable())
+            continue;
+        CombLoop loop;
+        auto elab = loop.elaborate();
+        if (boxed) {
+            EXPECT_NO_THROW(SimulationTool(elab, cfg)) << name;
+        } else {
+            EXPECT_THROW(SimulationTool(elab, cfg), std::logic_error)
+                << name;
+        }
+    }
+    // The boxed host has no arena for ParSim to replicate.
+    auto top = std::make_unique<MeshTrafficTop>("top", NetLevel::RTL, 4,
+                                                4, 0.2, 3);
+    auto elab = top->elaborate();
+    for (const char *name : {"interp", "interp+bytecode"}) {
+        SimConfig cfg = SimConfig::fromString(name);
+        cfg.threads = 2;
+        EXPECT_THROW(ParSimulationTool(elab, cfg), std::logic_error)
+            << name;
+    }
+    // The default is the arena-hosted interpreter.
+    EXPECT_EQ(SimConfig{}.backend, Backend::OptInterp);
+    // The retired aliases are unknown names now.
+    EXPECT_THROW(SimConfig::fromString("cpp"), std::invalid_argument);
+    EXPECT_THROW(SimConfig::fromString("interp+cpp"),
+                 std::invalid_argument);
 }
 
 // -------------------------------------------- report/scope naming
@@ -169,7 +190,7 @@ class BackendEquiv
         // The parallel kernel requires dense arena storage; boxed
         // (interp-hosted) backends exist only on the sequential one.
         if (threads > 1 &&
-            backendCfg(backend, threads).exec == ExecMode::Interp)
+            backendBoxedHost(backendCfg(backend, threads).backend))
             GTEST_SKIP() << "boxed backends are sequential-only";
     }
 };

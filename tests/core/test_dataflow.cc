@@ -183,7 +183,6 @@ TEST(DeadElim, SkipsDeadBlocksAndPreservesLiveValues)
     auto eb = b.elaborate();
 
     SimConfig off;
-    off.exec = ExecMode::OptInterp;
     SimConfig on = off;
     on.dead_elim = true;
 
@@ -316,18 +315,17 @@ TEST(DataflowCorpus, MeshIsFullyLive)
 // --------------------------------------- dead-elim mesh equivalence
 
 SimConfig
-meshCfg(SpecMode spec, int threads, bool dead_elim)
+meshCfg(Backend backend, int threads, bool dead_elim)
 {
     SimConfig cfg;
-    cfg.exec = ExecMode::OptInterp;
-    cfg.spec = spec;
+    cfg.backend = backend;
     cfg.threads = threads;
     cfg.dead_elim = dead_elim;
     return cfg;
 }
 
 void
-runDeadElimEquiv(SpecMode spec, int threads, int nrouters, int cycles)
+runDeadElimEquiv(Backend backend, int threads, int nrouters, int cycles)
 {
     auto ta = std::make_unique<MeshTrafficTop>("top", NetLevel::RTL,
                                                nrouters, 4, 0.25, 7);
@@ -335,8 +333,8 @@ runDeadElimEquiv(SpecMode spec, int threads, int nrouters, int cycles)
                                                nrouters, 4, 0.25, 7);
     auto ea = ta->elaborate();
     auto eb = tb->elaborate();
-    auto off = makeSimulator(ea, meshCfg(spec, threads, false));
-    auto on = makeSimulator(eb, meshCfg(spec, threads, true));
+    auto off = makeSimulator(ea, meshCfg(backend, threads, false));
+    auto on = makeSimulator(eb, meshCfg(backend, threads, true));
 
     off->reset();
     on->reset();
@@ -346,8 +344,8 @@ runDeadElimEquiv(SpecMode spec, int threads, int nrouters, int cycles)
     }
     for (const Net &net : ea->nets) {
         ASSERT_EQ(off->readNet(net.id), on->readNet(net.id))
-            << "net " << net.name << " diverged (spec="
-            << static_cast<int>(spec) << " threads=" << threads << ")";
+            << "net " << net.name << " diverged (" << on->config().toString()
+            << " threads=" << threads << ")";
     }
     EXPECT_EQ(stateDigest(*off), stateDigest(*on));
     EXPECT_GT(ta->stats().received, 0u) << "degenerate scenario";
@@ -355,26 +353,26 @@ runDeadElimEquiv(SpecMode spec, int threads, int nrouters, int cycles)
 }
 
 class DeadElimMesh
-    : public ::testing::TestWithParam<std::tuple<int, SpecMode>>
+    : public ::testing::TestWithParam<std::tuple<int, Backend>>
 {};
 
 TEST_P(DeadElimMesh, IdenticalDigestsOn8x8)
 {
-    auto [threads, spec] = GetParam();
-    runDeadElimEquiv(spec, threads, 64, 48);
+    auto [threads, backend] = GetParam();
+    runDeadElimEquiv(backend, threads, 64, 48);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ThreadsAndSpec, DeadElimMesh,
     ::testing::Combine(::testing::Values(1, 4),
-                       ::testing::Values(SpecMode::None,
-                                         SpecMode::Bytecode)));
+                       ::testing::Values(Backend::OptInterp,
+                                         Backend::Bytecode)));
 
 TEST(DeadElimMesh, IdenticalDigestsWithCppSpec)
 {
     if (!CppJit::compilerAvailable())
         GTEST_SKIP() << "no host compiler";
-    runDeadElimEquiv(SpecMode::Cpp, 2, 16, 48);
+    runDeadElimEquiv(Backend::CppBlock, 2, 16, 48);
 }
 
 std::string
@@ -398,7 +396,7 @@ TEST(DeadElimMesh, ByteIdenticalWaveforms)
                                                    16, 4, 0.3, 11);
         {
             auto sim = makeSimulator(ta->elaborate(),
-                                     meshCfg(SpecMode::None, threads,
+                                     meshCfg(Backend::OptInterp, threads,
                                              false));
             VcdWriter vcd(*sim, off_path);
             sim->reset();
@@ -407,7 +405,7 @@ TEST(DeadElimMesh, ByteIdenticalWaveforms)
         }
         {
             auto sim = makeSimulator(tb->elaborate(),
-                                     meshCfg(SpecMode::None, threads,
+                                     meshCfg(Backend::OptInterp, threads,
                                              true));
             VcdWriter vcd(*sim, on_path);
             sim->reset();

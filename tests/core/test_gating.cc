@@ -36,11 +36,10 @@ using net::MeshTrafficTop;
 using net::NetLevel;
 
 SimConfig
-gateCfg(SpecMode spec, int threads, bool gating)
+gateCfg(Backend backend, int threads, bool gating)
 {
     SimConfig cfg;
-    cfg.exec = ExecMode::OptInterp;
-    cfg.spec = spec;
+    cfg.backend = backend;
     cfg.threads = threads;
     cfg.gating = gating;
     return cfg;
@@ -197,30 +196,31 @@ expectQuiescentGating(const SimConfig &cfg)
 }
 
 class GatingEquiv
-    : public ::testing::TestWithParam<std::tuple<int, SpecMode>>
+    : public ::testing::TestWithParam<std::tuple<int, Backend>>
 {};
 
 TEST_P(GatingEquiv, StateAndStatsMatchUngated)
 {
     int threads = 0;
-    SpecMode spec{};
-    std::tie(threads, spec) = GetParam();
+    Backend backend{};
+    std::tie(threads, backend) = GetParam();
     std::ostringstream ctx;
-    ctx << "spec=" << static_cast<int>(spec) << " threads=" << threads;
-    runGatingEquiv(gateCfg(spec, threads, true), 128, 31 + threads,
+    ctx << "backend=" << gateCfg(backend, threads, true).toString()
+        << " threads=" << threads;
+    runGatingEquiv(gateCfg(backend, threads, true), 128, 31 + threads,
                    ctx.str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndSpec, GatingEquiv,
     ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(SpecMode::None,
-                                         SpecMode::Bytecode)));
+                       ::testing::Values(Backend::OptInterp,
+                                         Backend::Bytecode)));
 
 TEST(GatingVcd, ByteIdenticalWaveformsBothKernels)
 {
     for (int threads : {1, 4}) {
-        expectIdenticalVcds(gateCfg(SpecMode::Bytecode, threads, true),
+        expectIdenticalVcds(gateCfg(Backend::Bytecode, threads, true),
                             "bytecode_t" + std::to_string(threads));
     }
 }
@@ -229,25 +229,25 @@ TEST(GatingVcd, ByteIdenticalWaveformsBothKernels)
  * A design with no stimulus goes fully quiescent: every sequential
  * comb block / ParSim island superstep that recomputes an unchanged
  * value must be skipped — on both kernels and both static-schedule
- * spec modes.
+ * backends.
  */
 class GatingQuiescence
-    : public ::testing::TestWithParam<std::tuple<int, SpecMode>>
+    : public ::testing::TestWithParam<std::tuple<int, Backend>>
 {};
 
 TEST_P(GatingQuiescence, IdleDesignSkipsMostWork)
 {
     int threads = 0;
-    SpecMode spec{};
-    std::tie(threads, spec) = GetParam();
-    expectQuiescentGating(gateCfg(spec, threads, true));
+    Backend backend{};
+    std::tie(threads, backend) = GetParam();
+    expectQuiescentGating(gateCfg(backend, threads, true));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     KernelsAndSpec, GatingQuiescence,
     ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(SpecMode::None,
-                                         SpecMode::Bytecode)));
+                       ::testing::Values(Backend::OptInterp,
+                                         Backend::Bytecode)));
 
 // ------------------------------------------- compiled backend rows
 

@@ -103,7 +103,7 @@ TEST(JitCache, WarmRunIsCacheHitWithIdenticalBehaviour)
         Counter top(nullptr, "top", 8);
         auto elab = top.elaborate();
         SimConfig cfg;
-        cfg.spec = SpecMode::Cpp;
+        cfg.backend = Backend::CppBlock;
         cfg.jit_cache_dir = dir;
         SimulationTool sim(elab, cfg);
         top.en.setValue(uint64_t(1));
@@ -127,7 +127,7 @@ TEST(JitCache, CacheDisabledAlwaysCompiles)
         Counter top(nullptr, "top", 8);
         auto elab = top.elaborate();
         SimConfig cfg;
-        cfg.spec = SpecMode::Cpp;
+        cfg.backend = Backend::CppBlock;
         cfg.jit_cache = false;
         cfg.jit_cache_dir = dir;
         SimulationTool sim(elab, cfg);

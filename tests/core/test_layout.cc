@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -26,6 +27,7 @@
 
 #include "core/jit_cpp.h"
 #include "core/layout.h"
+#include "core/partition.h"
 #include "core/psim.h"
 #include "core/sim.h"
 #include "core/snap.h"
@@ -109,7 +111,7 @@ class LayoutEquiv
         if (needsCompiler(backend) && !CppJit::compilerAvailable())
             GTEST_SKIP() << "no host compiler";
         if (threads > 1 &&
-            SimConfig::fromString(backend).exec == ExecMode::Interp)
+            backendBoxedHost(SimConfig::fromString(backend).backend))
             GTEST_SKIP() << "boxed backends are sequential-only";
     }
 };
@@ -328,6 +330,73 @@ TEST(LayoutPacking, CornerWidthValuesRoundTripAcrossLayouts)
     prof->pokeNet(top_p->in3.netId(), Bits(3, 2));
     EXPECT_EQ(prof->readNet(top_p->in3.netId()), Bits(3, 2));
     EXPECT_EQ(prof->readNet(top_p->in17.netId()), Bits(17, 0x1ffff));
+}
+
+// ------------------------------------------------- flop copy plans
+
+/** Current-phase words spanned by @p nets under @p layout. */
+std::set<int>
+wordsOf(const ArenaLayout &layout, const std::vector<int> &nets)
+{
+    std::set<int> words;
+    for (int net : nets) {
+        const LayoutSlot &s = layout.slot(net);
+        for (int w = 0; w < s.nwords; ++w)
+            words.insert(s.word_off + w);
+    }
+    return words;
+}
+
+/**
+ * Packing never crosses the static-flop class or an owner island, so
+ * every word holding a static flop holds only static flops of one
+ * island: the flop plan's whole-word ranges must cover exactly the
+ * words of the flop nets it was given — sequentially and per ParSim
+ * island — with no masked per-net copy left over.
+ */
+TEST(LayoutFlopPlan, RangesCoverExactlyTheStaticFlopWords)
+{
+    using namespace tile;
+    std::vector<std::unique_ptr<Model>> designs;
+    designs.push_back(std::make_unique<WidthsTop>("top"));
+    designs.push_back(std::make_unique<MeshTrafficTop>(
+        "top", NetLevel::RTL, 16, 4, 0.2, 3));
+    designs.push_back(std::make_unique<MultiTileSystem>(
+        "sys", std::vector<std::array<Level, 3>>{
+                   {Level::RTL, Level::RTL, Level::RTL},
+                   {Level::RTL, Level::RTL, Level::RTL}}));
+    for (const auto &design : designs) {
+        auto elab = design->elaborate();
+        std::vector<int> flops;
+        for (const Net &net : elab->nets) {
+            if (net.floppedStatic)
+                flops.push_back(net.id);
+        }
+        auto covered = [](const FlopCopyPlan &plan) {
+            std::set<int> words;
+            for (const FlopRange &r : plan.ranges) {
+                for (int w = 0; w < r.nwords; ++w)
+                    words.insert(r.off + w);
+            }
+            return words;
+        };
+
+        ArenaLayout seq = ArenaLayout::profiled(*elab, nullptr, nullptr);
+        EXPECT_GT(seq.stats().packed_nets, 0) << design->typeName();
+        EXPECT_EQ(covered(seq.flopPlan(flops)), wordsOf(seq, flops))
+            << design->typeName();
+
+        for (int nislands : {2, 4}) {
+            PartitionPlan plan = partitionDesign(*elab, nislands);
+            ArenaLayout par = ArenaLayout::profiled(*elab, &plan, nullptr);
+            for (const PartitionIsland &isl : plan.islands) {
+                EXPECT_EQ(covered(par.flopPlan(isl.flopNets)),
+                          wordsOf(par, isl.flopNets))
+                    << design->typeName() << " at " << nislands
+                    << " islands";
+            }
+        }
+    }
 }
 
 // ------------------------------------------- snapshot across layouts

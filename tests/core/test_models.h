@@ -8,6 +8,7 @@
 #define CMTL_TESTS_CORE_TEST_MODELS_H
 
 #include <deque>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -125,35 +126,51 @@ class Counter : public Model
     }
 };
 
-/** All (exec, spec) configurations exercised by mode-matrix tests. */
+/**
+ * The boxed and arena hosts, each bare, with bytecode and with
+ * per-block C++: the configurations exercised by mode-matrix tests.
+ */
 inline std::vector<SimConfig>
 allModes(bool include_cpp = true)
 {
     std::vector<SimConfig> modes;
-    for (ExecMode exec : {ExecMode::Interp, ExecMode::OptInterp}) {
-        for (SpecMode spec :
-             {SpecMode::None, SpecMode::Bytecode, SpecMode::Cpp}) {
-            if (spec == SpecMode::Cpp &&
-                (!include_cpp || !CppJit::compilerAvailable()))
-                continue;
-            SimConfig cfg;
-            cfg.exec = exec;
-            cfg.spec = spec;
-            modes.push_back(cfg);
-        }
+    for (Backend backend :
+         {Backend::Interp, Backend::InterpBytecode, Backend::InterpCppBlock,
+          Backend::OptInterp, Backend::Bytecode, Backend::CppBlock}) {
+        const bool cpp = backend == Backend::InterpCppBlock ||
+                         backend == Backend::CppBlock;
+        if (cpp && (!include_cpp || !CppJit::compilerAvailable()))
+            continue;
+        SimConfig cfg;
+        cfg.backend = backend;
+        modes.push_back(cfg);
     }
     return modes;
 }
 
+/** True when @p cfg specializes IR blocks (not a bare interpreter). */
+inline bool
+specializes(const SimConfig &cfg)
+{
+    return cfg.backend != Backend::Interp &&
+           cfg.backend != Backend::OptInterp;
+}
+
+/** gtest parameter name: host, then specializer, then scheduling
+ *  ("Interp_Bytecode_Event", "OptInterp_Cpp", ...). */
 inline std::string
 modeName(const SimConfig &cfg)
 {
     std::string out =
-        cfg.exec == ExecMode::Interp ? "Interp" : "OptInterp";
-    switch (cfg.spec) {
-      case SpecMode::None: break;
-      case SpecMode::Bytecode: out += "_Bytecode"; break;
-      case SpecMode::Cpp: out += "_Cpp"; break;
+        backendBoxedHost(cfg.backend) ? "Interp" : "OptInterp";
+    switch (cfg.backend) {
+      case Backend::Interp:
+      case Backend::OptInterp: break;
+      case Backend::Bytecode:
+      case Backend::InterpBytecode: out += "_Bytecode"; break;
+      case Backend::CppBlock:
+      case Backend::InterpCppBlock: out += "_Cpp"; break;
+      case Backend::CppDesign: out += "_CppDesign"; break;
     }
     switch (cfg.sched) {
       case SchedMode::Auto: break;
@@ -164,6 +181,37 @@ modeName(const SimConfig &cfg)
 }
 
 } // namespace testmodels
+
+/**
+ * gtest value printer. Discovered ctest names end with the printed
+ * parameter, and mode-matrix case names have always carried gtest's
+ * raw byte dump of the config, which began with the host, specializer
+ * and scheduling enums of the former 80-byte layout (host 0 = boxed,
+ * 1 = arena; specializer 0 = none, 1 = bytecode, 2 = C++). Print that
+ * leading label, minus the heap address the raw dump went on to embed,
+ * then the backend string, so the case names stay stable.
+ */
+inline void
+PrintTo(const SimConfig &cfg, std::ostream *os)
+{
+    int spec = 0;
+    switch (cfg.backend) {
+      case Backend::Interp:
+      case Backend::OptInterp: spec = 0; break;
+      case Backend::Bytecode:
+      case Backend::InterpBytecode: spec = 1; break;
+      case Backend::CppBlock:
+      case Backend::InterpCppBlock:
+      case Backend::CppDesign: spec = 2; break;
+    }
+    const int lead[4] = {backendBoxedHost(cfg.backend) ? 0 : 1, spec,
+                         static_cast<int>(cfg.sched), 0};
+    *os << "80-byte object <";
+    for (int i = 0; i < 4; ++i)
+        *os << (i ? " " : "") << "0" << lead[i] << "-00 00-00";
+    *os << " ...> " << cfg.toString();
+}
+
 } // namespace cmtl
 
 #endif // CMTL_TESTS_CORE_TEST_MODELS_H

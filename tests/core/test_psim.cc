@@ -2,10 +2,9 @@
  * ParSim parallel-vs-sequential equivalence.
  *
  * The contract under test: ParSimulationTool is bit-identical to
- * SimulationTool at any thread count, on every ExecMode/SpecMode
- * combination it supports — verified on the mesh RTL/CLSpec networks
- * and the multi-tile system by lockstepping a parallel and a
- * sequential simulator over identically constructed designs and
+ * SimulationTool at any thread count, on every arena-hosted backend —
+ * verified on the mesh RTL/CLSpec networks and the multi-tile system
+ * by lockstepping a parallel and a sequential simulator over identically constructed designs and
  * comparing every net, the VCD byte stream, and end-to-end workload
  * results.
  */
@@ -32,11 +31,10 @@ using net::MeshTrafficTop;
 using net::NetLevel;
 
 SimConfig
-parCfg(SpecMode spec, int threads)
+parCfg(Backend backend, int threads)
 {
     SimConfig cfg;
-    cfg.exec = ExecMode::OptInterp;
-    cfg.spec = spec;
+    cfg.backend = backend;
     cfg.threads = threads;
     return cfg;
 }
@@ -55,7 +53,7 @@ expectSameState(Simulator &seq, Simulator &par, const std::string &ctx)
 // ------------------------------------------------- mesh equivalence
 
 void
-runMeshEquiv(NetLevel level, int nrouters, SpecMode spec, int threads,
+runMeshEquiv(NetLevel level, int nrouters, Backend backend, int threads,
              int cycles)
 {
     const double rate = 0.25;
@@ -66,12 +64,12 @@ runMeshEquiv(NetLevel level, int nrouters, SpecMode spec, int threads,
                                                rate, seed);
     auto ea = ta->elaborate();
     auto eb = tb->elaborate();
-    SimulationTool seq(ea, parCfg(spec, 1));
-    ParSimulationTool par(eb, parCfg(spec, threads));
+    SimulationTool seq(ea, parCfg(backend, 1));
+    ParSimulationTool par(eb, parCfg(backend, threads));
 
     std::ostringstream ctx;
-    ctx << "level=" << static_cast<int>(level) << " spec="
-        << static_cast<int>(spec) << " threads=" << threads;
+    ctx << "level=" << static_cast<int>(level) << " backend="
+        << par.config().toString() << " threads=" << threads;
 
     seq.reset();
     par.reset();
@@ -90,32 +88,32 @@ runMeshEquiv(NetLevel level, int nrouters, SpecMode spec, int threads,
 }
 
 class PsimMeshRtl
-    : public ::testing::TestWithParam<std::tuple<int, SpecMode>>
+    : public ::testing::TestWithParam<std::tuple<int, Backend>>
 {};
 
 TEST_P(PsimMeshRtl, BitIdenticalOn8x8)
 {
-    auto [threads, spec] = GetParam();
-    runMeshEquiv(NetLevel::RTL, 64, spec, threads, 96);
+    auto [threads, backend] = GetParam();
+    runMeshEquiv(NetLevel::RTL, 64, backend, threads, 96);
 }
 
 TEST_P(PsimMeshRtl, BitIdenticalOn4x4ClSpec)
 {
-    auto [threads, spec] = GetParam();
-    runMeshEquiv(NetLevel::CLSpec, 16, spec, threads, 128);
+    auto [threads, backend] = GetParam();
+    runMeshEquiv(NetLevel::CLSpec, 16, backend, threads, 128);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ThreadsAndSpec, PsimMeshRtl,
     ::testing::Combine(::testing::Values(1, 2, 4),
-                       ::testing::Values(SpecMode::None,
-                                         SpecMode::Bytecode)));
+                       ::testing::Values(Backend::OptInterp,
+                                         Backend::Bytecode)));
 
 TEST(PsimMeshRtl, BitIdenticalWithCppSpec)
 {
     if (!CppJit::compilerAvailable())
         GTEST_SKIP() << "no host compiler";
-    runMeshEquiv(NetLevel::RTL, 16, SpecMode::Cpp, 2, 64);
+    runMeshEquiv(NetLevel::RTL, 16, Backend::CppBlock, 2, 64);
 }
 
 // -------------------------------------------------- VCD equivalence
@@ -140,7 +138,7 @@ TEST(PsimVcd, ByteIdenticalWaveforms)
                                                    16, 4, 0.3, 11);
         {
             SimulationTool seq(ta->elaborate(),
-                               parCfg(SpecMode::None, 1));
+                               parCfg(Backend::OptInterp, 1));
             VcdWriter vcd(seq, seq_path);
             seq.reset();
             seq.cycle(80);
@@ -148,7 +146,7 @@ TEST(PsimVcd, ByteIdenticalWaveforms)
         }
         {
             ParSimulationTool par(tb->elaborate(),
-                                  parCfg(SpecMode::Bytecode, threads));
+                                  parCfg(Backend::Bytecode, threads));
             VcdWriter vcd(par, par_path);
             par.reset();
             par.cycle(80);
@@ -184,9 +182,9 @@ TEST(PsimMultiTile, MvmultBitIdentical)
 
     auto sys_a = makeSys();
     auto sys_b = makeSys();
-    SimulationTool seq(sys_a->elaborate(), parCfg(SpecMode::Bytecode, 1));
+    SimulationTool seq(sys_a->elaborate(), parCfg(Backend::Bytecode, 1));
     ParSimulationTool par(sys_b->elaborate(),
-                          parCfg(SpecMode::Bytecode, 4));
+                          parCfg(Backend::Bytecode, 4));
 
     seq.reset();
     par.reset();
@@ -345,7 +343,7 @@ TEST(Psim, RejectsUnsupportedConfigs)
                                                 4, 0.2, 3);
     auto elab = top->elaborate();
     SimConfig cfg;
-    cfg.exec = ExecMode::Interp;
+    cfg.backend = Backend::Interp;
     cfg.threads = 2;
     EXPECT_THROW(ParSimulationTool(elab, cfg), std::logic_error);
     cfg = SimConfig{};

@@ -162,7 +162,7 @@ class SnapBackendMatrix
         if (needsCompiler(backend) && !CppJit::compilerAvailable())
             GTEST_SKIP() << "no host compiler";
         if (threads > 1 &&
-            backendCfg(backend, threads).exec == ExecMode::Interp)
+            backendBoxedHost(backendCfg(backend, threads).backend))
             GTEST_SKIP() << "boxed backends are sequential-only";
     }
 };

@@ -56,7 +56,7 @@ TEST(ClSpec, FullySpecializable)
                                                 16, 4, 0.2, 5);
     auto elab = top->elaborate();
     SimConfig cfg;
-    cfg.spec = SpecMode::Bytecode;
+    cfg.backend = Backend::Bytecode;
     SimulationTool sim(elab, cfg);
     EXPECT_EQ(sim.specStats().numSpecialized,
               sim.specStats().numBlocks - 1); // all but the harness
@@ -75,38 +75,35 @@ TEST(ClSpec, IdenticalStatsAcrossAllBackends)
 {
     net::NetStats golden{};
     bool first = true;
-    for (const ExecMode exec : {ExecMode::OptInterp, ExecMode::Interp}) {
-        for (const SpecMode spec :
-             {SpecMode::None, SpecMode::Bytecode, SpecMode::Cpp}) {
-            if (spec == SpecMode::Cpp && !CppJit::compilerAvailable())
-                continue;
-            auto top = std::make_unique<MeshTrafficTop>(
-                "top", NetLevel::CLSpec, 16, 4, 0.25, 77);
-            auto elab = top->elaborate();
-            SimConfig cfg;
-            cfg.exec = exec;
-            cfg.spec = spec;
-            SimulationTool sim(elab, cfg);
-            sim.cycle(exec == ExecMode::Interp ? 150 : 400);
-            if (first) {
-                golden = top->stats();
-                first = false;
-            } else if (exec == ExecMode::Interp) {
-                // Shorter run under the slow boxed interpreter: only
-                // check internal agreement through a fresh golden run.
-                auto top2 = std::make_unique<MeshTrafficTop>(
-                    "top2", NetLevel::CLSpec, 16, 4, 0.25, 77);
-                auto elab2 = top2->elaborate();
-                SimulationTool sim2(elab2);
-                sim2.cycle(150);
-                EXPECT_EQ(top->stats().received,
-                          top2->stats().received);
-                EXPECT_EQ(top->stats().latency_sum,
-                          top2->stats().latency_sum);
-            } else {
-                EXPECT_EQ(top->stats().received, golden.received);
-                EXPECT_EQ(top->stats().latency_sum, golden.latency_sum);
-            }
+    for (const char *backend :
+         {"optinterp", "bytecode", "cpp-block", "interp", "interp+bytecode",
+          "interp+cpp-block"}) {
+        SimConfig cfg = SimConfig::fromString(backend);
+        if (std::string(backend).find("cpp") != std::string::npos &&
+            !CppJit::compilerAvailable())
+            continue;
+        const bool boxed = backendBoxedHost(cfg.backend);
+        auto top = std::make_unique<MeshTrafficTop>(
+            "top", NetLevel::CLSpec, 16, 4, 0.25, 77);
+        auto elab = top->elaborate();
+        SimulationTool sim(elab, cfg);
+        sim.cycle(boxed ? 150 : 400);
+        if (first) {
+            golden = top->stats();
+            first = false;
+        } else if (boxed) {
+            // Shorter run under the slow boxed interpreter: only check
+            // internal agreement through a fresh golden run.
+            auto top2 = std::make_unique<MeshTrafficTop>(
+                "top2", NetLevel::CLSpec, 16, 4, 0.25, 77);
+            auto elab2 = top2->elaborate();
+            SimulationTool sim2(elab2);
+            sim2.cycle(150);
+            EXPECT_EQ(top->stats().received, top2->stats().received);
+            EXPECT_EQ(top->stats().latency_sum, top2->stats().latency_sum);
+        } else {
+            EXPECT_EQ(top->stats().received, golden.received);
+            EXPECT_EQ(top->stats().latency_sum, golden.latency_sum);
         }
     }
 }

@@ -215,16 +215,15 @@ TEST(NetModes, RtlMeshStatsIdenticalAcrossBackends)
 {
     net::NetStats golden{};
     bool first = true;
-    for (SpecMode spec : {SpecMode::None, SpecMode::Bytecode,
-                          SpecMode::Cpp}) {
-        if (spec == SpecMode::Cpp && !CppJit::compilerAvailable())
+    for (Backend backend :
+         {Backend::OptInterp, Backend::Bytecode, Backend::CppBlock}) {
+        if (backend == Backend::CppBlock && !CppJit::compilerAvailable())
             continue;
         auto top = std::make_unique<MeshTrafficTop>(
             "top", NetLevel::RTL, 16, 2, 0.2, 77);
         auto elab = top->elaborate();
         SimConfig cfg;
-        cfg.exec = ExecMode::OptInterp;
-        cfg.spec = spec;
+        cfg.backend = backend;
         SimulationTool sim(elab, cfg);
         sim.cycle(300);
         if (first) {
@@ -241,12 +240,12 @@ TEST(NetModes, RtlMeshInterpMatchesOptInterp)
 {
     net::NetStats golden{};
     bool first = true;
-    for (ExecMode exec : {ExecMode::OptInterp, ExecMode::Interp}) {
+    for (Backend backend : {Backend::OptInterp, Backend::Interp}) {
         auto top = std::make_unique<MeshTrafficTop>(
             "top", NetLevel::RTL, 16, 2, 0.2, 78);
         auto elab = top->elaborate();
         SimConfig cfg;
-        cfg.exec = exec;
+        cfg.backend = backend;
         SimulationTool sim(elab, cfg);
         sim.cycle(120);
         if (first) {
@@ -297,7 +296,7 @@ TEST(NetSpec, RtlMeshIsFullySpecializable)
                                                 2, 0.1, 5);
     auto elab = top->elaborate();
     SimConfig cfg;
-    cfg.spec = SpecMode::Bytecode;
+    cfg.backend = Backend::Bytecode;
     SimulationTool sim(elab, cfg);
     // Every block except the traffic lambda is specialized.
     EXPECT_EQ(sim.specStats().numSpecialized,

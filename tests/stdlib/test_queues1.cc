@@ -174,7 +174,7 @@ TEST(Queues1, TranslateAndSpecialize)
         std::string v = TranslationTool().translate(*elab);
         EXPECT_NE(v.find("always @(posedge clk)"), std::string::npos);
         SimConfig cfg;
-        cfg.spec = SpecMode::Bytecode;
+        cfg.backend = Backend::Bytecode;
         SimulationTool sim(elab, cfg);
         EXPECT_EQ(sim.specStats().numSpecialized,
                   sim.specStats().numBlocks);
