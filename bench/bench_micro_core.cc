@@ -157,7 +157,8 @@ BM_EngineCompiledCpp(benchmark::State &state)
     std::string source = cppEmitProgram(
         *f.elab, f.arena, std::vector<std::vector<int>>{{0}});
     CppJit jit;
-    CppJitLibrary lib = jit.compile(source, 1);
+    CppJitLibrary lib = jit.compile(source, 1, CppJitLibrary::Abi::Block);
+    CppJitLibrary::BlockFn fn = lib.blocks()[0];
     uint64_t *w = f.arena.data();
     const int a = f.arena.offset(f.alu.a.netId());
     const int b = f.arena.offset(f.alu.b.netId());
@@ -167,7 +168,7 @@ BM_EngineCompiledCpp(benchmark::State &state)
     for (auto _ : state) {
         w[a] = ++i & am;
         w[b] = (i * 7) & bm;
-        lib.group(0)(f.arena.data());
+        benchmark::DoNotOptimize(fn(f.arena.data()));
     }
 }
 BENCHMARK(BM_EngineCompiledCpp);

@@ -13,7 +13,9 @@
  * the differential backend matrix against the boxed-interpreter
  * reference, and prints one summary line per case. Exit status is 0
  * when every case is clean, 1 on any divergence, lint error or race-
- * audit error. With --minimize every diverging case is auto-shrunk
+ * audit error. A side whose simulator throws fails its case (the
+ * candidate as a "threw" divergence, the reference as a bad case) and
+ * the sweep goes on. With --minimize every diverging case is auto-shrunk
  * and the minimal repro written to <out>/repro_seed<N>_<side>.fuzz
  * (out defaults to the current directory).
  *
@@ -201,13 +203,15 @@ main(int argc, char **argv)
             std::printf("  lint: %s\n", e.c_str());
         for (const std::string &e : res.audit_errors)
             std::printf("  race-audit: %s\n", e.c_str());
+        if (!res.ref_error.empty())
+            std::printf("  reference threw: %s\n", res.ref_error.c_str());
         if (!res.ok())
             ++bad_cases;
         for (const FuzzDivergence &d : res.divergences) {
             std::printf("  [%s] %s\n", d.side.str().c_str(),
                         d.detail.c_str());
-            if (!minimize)
-                continue;
+            if (!minimize || d.threw)
+                continue; // the shrinker's predicate compares runs
             FuzzSpec pair = spec;
             pair.side_b = d.side;
             try {

@@ -348,7 +348,11 @@ bcCompile(const ElabBlock &blk, const ArenaStore &store)
     return Compiler(blk, store).run();
 }
 
-void
+// Cache-line aligned, so the dispatch loop's branch targets keep their
+// place relative to 64-byte fetch blocks when unrelated code in the
+// library grows: at 48 bytes past a line, gated bytecode on the
+// multitile benchmark ran about 5% slower than at a line start.
+__attribute__((aligned(64))) void
 bcRun(const BcProgram &prog, uint64_t *words, uint64_t *scratch)
 {
     auto reg = [&](int32_t i) -> uint64_t & {

@@ -1,5 +1,7 @@
 #include "ir_cpp.h"
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -302,8 +304,32 @@ cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
     emitPrelude(os, elab);
 
     for (size_t k = 0; k < groups.size(); ++k) {
-        os << "extern \"C\" void " << cppGroupSymbol(static_cast<int>(k))
-           << "(uint64_t *w)\n{\n";
+        os << "extern \"C\" uint64_t "
+           << cppGroupSymbol(static_cast<int>(k)) << "(uint64_t *w)\n{\n";
+
+        // Change detection with constant offsets: every word a comb
+        // member writes is held in a const local across the body and
+        // compared after it. Bit i of the mask stands for the i-th
+        // write of the members in order (ElabBlock::writes), and bit
+        // 63 for all writes from the 64th on.
+        std::vector<int> write_nets;
+        for (int blk_idx : groups[k]) {
+            const ElabBlock &blk = elab.blocks[blk_idx];
+            if (!blk.ir->sequential)
+                write_nets.insert(write_nets.end(), blk.writes.begin(),
+                                  blk.writes.end());
+        }
+        std::map<int, int> word_local; // arena word -> o<N> local
+        for (int net : write_nets) {
+            for (int wd = 0; wd < store.nwords(net); ++wd) {
+                const int off = store.offset(net) + wd;
+                const int id = static_cast<int>(word_local.size());
+                if (word_local.emplace(off, id).second)
+                    os << "    const uint64_t o" << id << " = w[" << off
+                       << "];\n";
+            }
+        }
+
         for (int blk_idx : groups[k]) {
             const ElabBlock &blk = elab.blocks[blk_idx];
             os << "    { // " << blk.name << "\n";
@@ -311,7 +337,23 @@ cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
             BlockEmitter(blk, store, body).run(8);
             os << body.str() << "    }\n";
         }
-        os << "}\n\n";
+
+        if (write_nets.empty()) {
+            os << "    return 0;\n}\n\n";
+            continue;
+        }
+        os << "    uint64_t m = 0;\n";
+        for (size_t i = 0; i < write_nets.size(); ++i) {
+            const int net = write_nets[i];
+            os << "    m |= uint64_t(";
+            for (int wd = 0; wd < store.nwords(net); ++wd) {
+                const int off = store.offset(net) + wd;
+                os << (wd ? " | " : "") << "w[" << off << "] != o"
+                   << word_local[off];
+            }
+            os << ") << " << std::min<size_t>(i, 63) << ";\n";
+        }
+        os << "    return m;\n}\n\n";
     }
     return os.str();
 }

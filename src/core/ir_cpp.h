@@ -4,11 +4,18 @@
  *
  * Given an elaborated design, an arena layout, and a grouping of
  * specialized block indices, emits a self-contained C++ translation
- * unit with one `extern "C" void cmtl_grp_<k>(uint64_t *w)` entry
+ * unit with one `extern "C" uint64_t cmtl_grp_<k>(uint64_t *w)` entry
  * point per group, each executing its blocks' logic directly on the
- * ArenaStore word arena. This is the exact pipeline shape of PyMTL's
- * SimJIT: generate C++ from the elaborated model instance, compile it
- * to a shared library (see jit_cpp.h), and call it through a C ABI.
+ * ArenaStore word arena and returning a changed-output mask: bit i is
+ * set when the words of the i-th net the group's comb blocks write
+ * (ElabBlock::writes, members in order) differ from their values on
+ * entry; bit 63 saturates ("one of nets 63.. changed"); groups of
+ * tick blocks return 0. The activity-gated kernel walks the mask
+ * instead of snapshotting and diffing outputs itself. Whole-design
+ * units (the CppUnit overload) return void. This is the exact
+ * pipeline shape of PyMTL's SimJIT: generate C++ from the elaborated
+ * model instance, compile it to a shared library (see jit_cpp.h),
+ * and call it through a C ABI.
  *
  * The specializable subset matches the bytecode backend: all nets and
  * intermediates must fit in 64 bits (checked via bcSpecializable).
@@ -28,7 +35,8 @@ namespace cmtl {
 /**
  * Emit the C++ source for the given groups of specialized blocks.
  * Each inner vector lists ElabBlock indices fused into one entry
- * point, executed in order.
+ * point, executed in order; each entry point returns the group's
+ * changed-output mask (CppJitLibrary::Abi::Block).
  */
 std::string cppEmitProgram(const Elaboration &elab, const ArenaStore &store,
                            const std::vector<std::vector<int>> &groups);
@@ -54,8 +62,9 @@ struct CppUnit
 };
 
 /**
- * Emit the C++ source for whole-design units. Differs from the group
- * overload in two ways: flop items compile to straight-line word
+ * Emit the C++ source for whole-design units (CppJitLibrary::Abi::Unit
+ * entry points, returning void). Differs from the group overload in
+ * three ways: no change mask, flop items compile to straight-line word
  * copies, and every memory array touched by a unit is bound to a
  * typed local alias pointer instead of re-deriving `w + offset` at
  * each access.

@@ -113,7 +113,8 @@ CppJitLibrary::~CppJitLibrary()
 }
 
 CppJitLibrary::CppJitLibrary(CppJitLibrary &&other) noexcept
-    : handle_(other.handle_), groups_(std::move(other.groups_)),
+    : handle_(other.handle_), units_(std::move(other.units_)),
+      blocks_(std::move(other.blocks_)),
       cache_hit_(other.cache_hit_), compile_seconds_(other.compile_seconds_),
       wrap_seconds_(other.wrap_seconds_)
 {
@@ -127,7 +128,8 @@ CppJitLibrary::operator=(CppJitLibrary &&other) noexcept
         if (handle_)
             ::dlclose(handle_);
         handle_ = other.handle_;
-        groups_ = std::move(other.groups_);
+        units_ = std::move(other.units_);
+        blocks_ = std::move(other.blocks_);
         cache_hit_ = other.cache_hit_;
         compile_seconds_ = other.compile_seconds_;
         wrap_seconds_ = other.wrap_seconds_;
@@ -271,7 +273,8 @@ CppJit::cachePathFor(const std::string &source) const
 }
 
 CppJitLibrary
-CppJit::compile(const std::string &source, int ngroups)
+CppJit::compile(const std::string &source, int ngroups,
+                CppJitLibrary::Abi abi)
 {
     CppJitLibrary lib;
     std::string so_path = cachePathFor(source);
@@ -331,8 +334,12 @@ CppJit::compile(const std::string &source, int ngroups)
         void *fn = ::dlsym(lib.handle_, sym.c_str());
         if (!fn)
             throw std::runtime_error("SimJIT: missing symbol " + sym);
-        lib.groups_.push_back(
-            reinterpret_cast<CppJitLibrary::GroupFn>(fn));
+        if (abi == CppJitLibrary::Abi::Block)
+            lib.blocks_.push_back(
+                reinterpret_cast<CppJitLibrary::BlockFn>(fn));
+        else
+            lib.units_.push_back(
+                reinterpret_cast<CppJitLibrary::UnitFn>(fn));
     }
     lib.wrap_seconds_ = seconds() - t1;
     return lib;
@@ -340,7 +347,8 @@ CppJit::compile(const std::string &source, int ngroups)
 
 std::vector<CppJitLibrary>
 CppJit::compileMany(const std::vector<std::string> &sources,
-                    const std::vector<int> &ngroups)
+                    const std::vector<int> &ngroups,
+                    CppJitLibrary::Abi abi)
 {
     if (sources.size() != ngroups.size())
         throw std::logic_error(
@@ -348,7 +356,7 @@ CppJit::compileMany(const std::vector<std::string> &sources,
     std::vector<CppJitLibrary> libs;
     libs.reserve(sources.size());
     for (size_t i = 0; i < sources.size(); ++i)
-        libs.push_back(compile(sources[i], ngroups[i]));
+        libs.push_back(compile(sources[i], ngroups[i], abi));
     return libs;
 }
 

@@ -21,6 +21,7 @@
 #ifndef CMTL_CORE_JIT_CPP_H
 #define CMTL_CORE_JIT_CPP_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,15 @@ namespace cmtl {
 class CppJitLibrary
 {
   public:
-    using GroupFn = void (*)(uint64_t *);
+    /** Whole-design (cpp-design) unit: `void cmtl_grp_<k>(uint64_t *w)`. */
+    using UnitFn = void (*)(uint64_t *);
+    /**
+     * Per-block (cpp-block) group: `uint64_t cmtl_grp_<k>(uint64_t *w)`,
+     * returning the changed-output mask (see ir_cpp.h).
+     */
+    using BlockFn = uint64_t (*)(uint64_t *);
+    /** Which of the two signatures a library's entry points have. */
+    enum class Abi { Unit, Block };
 
     CppJitLibrary() = default;
     ~CppJitLibrary();
@@ -40,8 +49,11 @@ class CppJitLibrary
     CppJitLibrary &operator=(const CppJitLibrary &) = delete;
 
     bool loaded() const { return handle_ != nullptr; }
-    GroupFn group(int k) const { return groups_.at(k); }
-    int numGroups() const { return static_cast<int>(groups_.size()); }
+    /** Entry points of an Abi::Unit library (empty otherwise). Callers
+     *  bind them once, at load or tier swap, not per call. */
+    const std::vector<UnitFn> &units() const { return units_; }
+    /** Entry points of an Abi::Block library (empty otherwise). */
+    const std::vector<BlockFn> &blocks() const { return blocks_; }
 
     bool cacheHit() const { return cache_hit_; }
     double compileSeconds() const { return compile_seconds_; }
@@ -50,7 +62,8 @@ class CppJitLibrary
   private:
     friend class CppJit;
     void *handle_ = nullptr;
-    std::vector<GroupFn> groups_;
+    std::vector<UnitFn> units_;
+    std::vector<BlockFn> blocks_;
     bool cache_hit_ = false;
     double compile_seconds_ = 0.0;
     double wrap_seconds_ = 0.0;
@@ -113,10 +126,11 @@ class CppJit
 
     /**
      * Compile @p source (with @p ngroups cmtl_grp_<k> entry points)
-     * and bind the group symbols. Throws std::runtime_error on
-     * compiler failure.
+     * and bind the group symbols with the signature @p abi names.
+     * Throws std::runtime_error on compiler failure.
      */
-    CppJitLibrary compile(const std::string &source, int ngroups);
+    CppJitLibrary compile(const std::string &source, int ngroups,
+                          CppJitLibrary::Abi abi);
 
     /**
      * Compile several independent translation units — one library per
@@ -127,7 +141,7 @@ class CppJit
      */
     std::vector<CppJitLibrary>
     compileMany(const std::vector<std::string> &sources,
-                const std::vector<int> &ngroups);
+                const std::vector<int> &ngroups, CppJitLibrary::Abi abi);
 
   private:
     std::string cache_dir_;

@@ -360,10 +360,19 @@ ParSimulationTool::specialize()
     CppJit jit(cfg_.jit_cache_dir.empty() ? CppJit::defaultCacheDir()
                                           : cfg_.jit_cache_dir,
                cfg_.jit_cache);
-    cpp_lib_ = jit.compile(source, static_cast<int>(groups.size()));
+    cpp_lib_ = jit.compile(source, static_cast<int>(groups.size()),
+                           CppJitLibrary::Abi::Block);
     spec_stats_.compileSeconds = cpp_lib_.compileSeconds();
     spec_stats_.wrapSeconds = cpp_lib_.wrapSeconds();
     spec_stats_.cacheHit = cpp_lib_.cacheHit();
+    for (int i = 0; i < plan_.nislands; ++i) {
+        for (auto *steps : {&comb_steps_[i], &tick_steps_[i]}) {
+            for (PStep &step : *steps) {
+                if (step.kind == PStep::Kind::Native)
+                    step.block_fn = cpp_lib_.blocks()[step.group];
+            }
+        }
+    }
 }
 
 void
@@ -444,7 +453,8 @@ ParSimulationTool::specializeDesign()
         // Workers have not started yet, so adopting here is trivially
         // safe; the first cycle runs native.
         CppJit jit(cache_dir, cfg_.jit_cache, CppJit::kWholeDesignFlags);
-        island_libs_ = jit.compileMany(island_sources_, island_nunits_);
+        island_libs_ = jit.compileMany(island_sources_, island_nunits_,
+                                       CppJitLibrary::Abi::Unit);
         adoptNativeTier();
         return;
     }
@@ -452,8 +462,8 @@ ParSimulationTool::specializeDesign()
         try {
             CppJit jit(cache_dir, cfg_.jit_cache,
                        CppJit::kWholeDesignFlags);
-            pending_libs_ =
-                jit.compileMany(island_sources_, island_nunits_);
+            pending_libs_ = jit.compileMany(
+                island_sources_, island_nunits_, CppJitLibrary::Abi::Unit);
         } catch (...) {
             jit_error_ = std::current_exception();
         }
@@ -478,6 +488,17 @@ ParSimulationTool::adoptNativeTier()
     spec_stats_.tierSwapCycle = static_cast<int64_t>(numCycles());
     comb_steps_ = std::move(nat_comb_steps_);
     tick_steps_ = std::move(nat_tick_steps_);
+    island_flop_fn_.assign(plan_.nislands, nullptr);
+    for (int i = 0; i < plan_.nislands; ++i) {
+        const auto &fns = island_libs_[i].units();
+        for (auto *steps : {&comb_steps_[i], &tick_steps_[i]}) {
+            for (PStep &step : *steps) {
+                if (step.kind == PStep::Kind::Native)
+                    step.unit_fn = fns[step.group];
+            }
+        }
+        island_flop_fn_[i] = fns[island_flop_unit_[i]];
+    }
     design_native_ = true;
 }
 
@@ -684,10 +705,12 @@ ParSimulationTool::runPStepImpl(int island, const PStep &step)
               bc_scratch_[island].data());
         break;
       case PStep::Kind::Native:
-        // cpp-design fused steps live in the island's own library
-        // (island-local group indices); cpp-block groups share one.
-        (design_native_ ? island_libs_[island] : cpp_lib_)
-            .group(step.group)(replicas_[island]->data());
+        // cpp-design fused steps are units of the island's own
+        // library; cpp-block groups are blocks of the shared one.
+        if (step.unit_fn)
+            step.unit_fn(replicas_[island]->data());
+        else
+            step.block_fn(replicas_[island]->data());
         break;
     }
 }
@@ -764,8 +787,7 @@ void
 ParSimulationTool::runIslandFlop(int island)
 {
     if (design_native_) {
-        island_libs_[island].group(island_flop_unit_[island])(
-            replicas_[island]->data());
+        island_flop_fn_[island](replicas_[island]->data());
     } else if (gating_) {
         // Gating needs per-net change detection to dirty the island.
         bool changed = false;

@@ -151,6 +151,11 @@ class ParSimulationTool : public Simulator
         int block = -1; //!< ElabBlock index (Slot/Bytecode)
         int group = -1; //!< compiled-C++ group index (Native)
         int level = 0;  //!< settle superstep (comb steps only)
+        /** Bound entry of a Native step: a cpp-block group (its change
+         *  mask is unused here) or a cpp-design unit of the island's
+         *  library; set once the library loads or the tier swaps. */
+        CppJitLibrary::BlockFn block_fn = nullptr;
+        CppJitLibrary::UnitFn unit_fn = nullptr;
     };
 
     /** Boundary word copy: cur words [off, off+n) into replica dst. */
@@ -226,6 +231,8 @@ class ParSimulationTool : public Simulator
     std::vector<std::vector<PStep>> nat_comb_steps_;
     std::vector<std::vector<PStep>> nat_tick_steps_;
     std::vector<int> island_flop_unit_; //!< island-local flop module
+    /** island_flop_unit_ entries, bound at the tier swap. */
+    std::vector<CppJitLibrary::UnitFn> island_flop_fn_;
     std::vector<std::string> island_sources_;
     std::vector<int> island_nunits_;
     std::vector<CppJitLibrary> island_libs_;

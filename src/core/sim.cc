@@ -1,6 +1,7 @@
 #include "sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <queue>
@@ -461,10 +462,17 @@ SimulationTool::specialize()
     CppJit jit(cfg_.jit_cache_dir.empty() ? CppJit::defaultCacheDir()
                                           : cfg_.jit_cache_dir,
                cfg_.jit_cache);
-    cpp_lib_ = jit.compile(source, static_cast<int>(groups.size()));
+    cpp_lib_ = jit.compile(source, static_cast<int>(groups.size()),
+                           CppJitLibrary::Abi::Block);
     spec_stats_.compileSeconds = cpp_lib_.compileSeconds();
     spec_stats_.wrapSeconds = cpp_lib_.wrapSeconds();
     spec_stats_.cacheHit = cpp_lib_.cacheHit();
+    for (auto *steps : {&comb_steps_, &tick_steps_}) {
+        for (Step &step : *steps) {
+            if (step.kind == Step::Kind::Native)
+                step.block_fn = cpp_lib_.blocks()[step.group];
+        }
+    }
 }
 
 std::vector<int>
@@ -683,7 +691,8 @@ SimulationTool::specializeDesign(const std::vector<char> &can,
                                 : cfg_.jit_cache_dir;
     if (!cfg_.jit_tiered) {
         CppJit jit(cache_dir, cfg_.jit_cache, CppJit::kWholeDesignFlags);
-        cpp_lib_ = jit.compile(design_source_, design_nunits_);
+        cpp_lib_ = jit.compile(design_source_, design_nunits_,
+                               CppJitLibrary::Abi::Unit);
         adoptNativeTier();
         return;
     }
@@ -694,7 +703,8 @@ SimulationTool::specializeDesign(const std::vector<char> &can,
         try {
             CppJit jit(cache_dir, cfg_.jit_cache,
                        CppJit::kWholeDesignFlags);
-            pending_lib_ = jit.compile(design_source_, design_nunits_);
+            pending_lib_ = jit.compile(design_source_, design_nunits_,
+                                       CppJitLibrary::Abi::Unit);
         } catch (...) {
             jit_error_ = std::current_exception();
         }
@@ -710,6 +720,16 @@ SimulationTool::adoptNativeTier()
     spec_stats_.cacheHit = cpp_lib_.cacheHit();
     spec_stats_.numGroups = design_nunits_;
     spec_stats_.tierSwapCycle = static_cast<int64_t>(numCycles());
+    const auto &fns = cpp_lib_.units();
+    for (auto *steps : {&design_comb_steps_, &design_tick_steps_}) {
+        for (Step &step : *steps) {
+            if (step.kind == Step::Kind::Native)
+                step.unit_fn = fns[step.group];
+        }
+    }
+    design_flop_fn_ = fns[design_flop_unit_];
+    design_step_fn_ = design_step_unit_ >= 0 ? fns[design_step_unit_]
+                                             : nullptr;
     active_comb_ = &design_comb_steps_;
     active_tick_ = &design_tick_steps_;
     design_native_ = true;
@@ -868,11 +888,11 @@ SimulationTool::buildGating()
         comb_readers_.endRow();
     }
 
-    // Block -> arena output spans, diffed around a specialized
-    // block's run on the arena host. Comb blocks never write arrays
-    // (the IR builder rejects it; a lambda's writes go through
-    // writeArray(), which marks readers), so word diffs see every
-    // settle-internal change.
+    // Block -> arena output spans: diffed around a bytecode block's
+    // run, and the nets a native block's change mask indexes. Comb
+    // blocks never write arrays (the IR builder rejects it; a lambda's
+    // writes go through writeArray(), which marks readers), so word
+    // diffs see every settle-internal change.
     const bool spans = arena_ && !useBoxed();
     size_t max_words = 0;
     for (size_t b = 0; b < blocks.size(); ++b) {
@@ -886,7 +906,8 @@ SimulationTool::buildGating()
             }
         }
         block_spans_.endRow();
-        max_words = std::max(max_words, words);
+        if (!bc_programs_.empty())
+            max_words = std::max(max_words, words);
     }
     span_snapshot_.assign(max_words, 0);
 
@@ -1088,8 +1109,10 @@ SimulationTool::runStepImpl(const Step &step, std::vector<int> *changed)
         bool track = changed && !step.sequential;
         if (track)
             snapshotWrites(step);
-        if (step.kind == Step::Kind::Native) {
-            cpp_lib_.group(step.group)(arena_->data());
+        if (step.unit_fn) {
+            step.unit_fn(arena_->data());
+        } else if (step.block_fn) {
+            step.block_fn(arena_->data()); // change mask unused here
         } else {
             for (const BcProgram *bc : group_bc_[step.group])
                 bcRun(*bc, arena_->data(), bc_scratch_.data());
@@ -1193,31 +1216,49 @@ SimulationTool::runBlockGated(const Step &step, int blk,
     uint64_t *words = arena_->data();
     const WordSpan *first = block_spans_.begin(blk);
     const WordSpan *last = block_spans_.end(blk);
-    uint64_t *snap = span_snapshot_.data();
-    for (const WordSpan *s = first; s != last; ++s) {
-        for (int w = 0; w < s->nwords; ++w)
-            *snap++ = words[s->off + w];
+    if (bc) {
+        uint64_t *snap = span_snapshot_.data();
+        for (const WordSpan *s = first; s != last; ++s) {
+            for (int w = 0; w < s->nwords; ++w)
+                *snap++ = words[s->off + w];
+        }
     }
-    auto run = [&] {
-        if (bc)
-            bcRun(*bc, words, bc_scratch_.data());
-        else
-            cpp_lib_.group(step.group)(words);
+    auto run = [&]() -> uint64_t {
+        if (!bc)
+            return step.block_fn(words);
+        bcRun(*bc, words, bc_scratch_.data());
+        return 0;
     };
+    uint64_t mask;
     ScopeProbe *p = probe_;
     if (p && p->shouldTime(blk)) {
         Stopwatch sw;
-        run();
+        mask = run();
         p->addBlockTime(blk, sw.elapsed());
     } else {
-        run();
+        mask = run();
     }
-    snap = span_snapshot_.data();
-    for (const WordSpan *s = first; s != last; ++s) {
-        bool differs = false;
-        for (int w = 0; w < s->nwords; ++w)
-            differs |= words[s->off + w] != *snap++;
-        if (differs)
+    if (bc) {
+        const uint64_t *snap = span_snapshot_.data();
+        for (const WordSpan *s = first; s != last; ++s) {
+            bool differs = false;
+            for (int w = 0; w < s->nwords; ++w)
+                differs |= words[s->off + w] != *snap++;
+            if (differs)
+                markReaderBlocksDirty(s->net);
+        }
+        return true;
+    }
+    // Native code compared its outputs itself: bit i names span i,
+    // bit 63 every span from the 64th on.
+    while (mask) {
+        const int i = std::countr_zero(mask);
+        mask &= mask - 1;
+        if (i < 63) {
+            markReaderBlocksDirty(first[i].net);
+            continue;
+        }
+        for (const WordSpan *s = first + 63; s < last; ++s)
             markReaderBlocksDirty(s->net);
     }
     return true;
@@ -1229,7 +1270,7 @@ SimulationTool::cycle()
     maybeSwapTier();
     if (probe_) {
         cycleProfiled();
-    } else if (design_native_ && design_step_unit_ >= 0 &&
+    } else if (design_step_fn_ &&
                flopped_nets_.size() == n_static_flops_) {
         // Whole cycle in one native call: ticks, flops, settle. Legal
         // only while no dynamically registered flops exist; settle()
@@ -1237,7 +1278,7 @@ SimulationTool::cycle()
         // cannot change under us.
         if (dirty_)
             settle();
-        cpp_lib_.group(design_step_unit_)(arena_->data());
+        design_step_fn_(arena_->data());
     } else {
         if (eventDriven() || dirty_)
             settle();
@@ -1314,7 +1355,7 @@ SimulationTool::doFlop(std::vector<int> *changed)
         // tail. cpp-design is never event-driven, so no change
         // notification is needed.
         (void)changed;
-        cpp_lib_.group(design_flop_unit_)(arena_->data());
+        design_flop_fn_(arena_->data());
         for (size_t i = n_static_flops_; i < flopped_nets_.size(); ++i)
             arena_->flop(flopped_nets_[i]);
         return;
@@ -1362,9 +1403,11 @@ SimulationTool::flopRangesGated()
         for (const WordSpan *s = range_nets_.begin(static_cast<int>(r)),
                             *e = range_nets_.end(static_cast<int>(r));
              s != e; ++s) {
-            if (std::memcmp(words + s->off, words + s->off + phase,
-                            static_cast<size_t>(s->nwords) *
-                                sizeof(uint64_t)) != 0)
+            const uint64_t *w = words + s->off;
+            bool differs = false;
+            for (int i = 0; i < s->nwords; ++i)
+                differs |= w[i] != w[i + phase];
+            if (differs)
                 markTokenBlocksDirty(s->net);
         }
         std::memcpy(cur, cur + phase, bytes);

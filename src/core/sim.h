@@ -496,6 +496,10 @@ class SimulationTool : public Simulator
         const std::vector<int> *reads = nullptr;
         const std::vector<int> *writes = nullptr;
         bool sequential = false;
+        /** Bound compiled entry of a Native step, set once the library
+         *  loads (cpp-block) or the tier swaps (cpp-design). */
+        CppJitLibrary::BlockFn block_fn = nullptr;
+        CppJitLibrary::UnitFn unit_fn = nullptr;
     };
 
     bool useBoxed() const { return boxed_host_; }
@@ -548,7 +552,9 @@ class SimulationTool : public Simulator
     void buildGating();
     void settleGated();
     /** Gated run of one arena-hosted specialized comb block (@p bc, or
-     *  the block's native entry when null); false when it was clean. */
+     *  the step's native entry when null); false when it was clean.
+     *  Bytecode diffs a snapshot of the block's output words; native
+     *  code reports changed outputs itself (ir_cpp.h mask). */
     bool runBlockGated(const Step &step, int blk, const BcProgram *bc);
     void flopRangesGated();
     /** Settle-internal change: re-run the token's comb readers. */
@@ -601,6 +607,9 @@ class SimulationTool : public Simulator
     int design_nunits_ = 0;
     int design_flop_unit_ = -1;
     int design_step_unit_ = -1; //!< fused whole-cycle entry, or -1
+    /** design_flop_unit_ / design_step_unit_ bound at the tier swap. */
+    CppJitLibrary::UnitFn design_flop_fn_ = nullptr;
+    CppJitLibrary::UnitFn design_step_fn_ = nullptr;
     size_t n_static_flops_ = 0;
     bool design_native_ = false;
     bool tier_failed_ = false;
@@ -679,12 +688,13 @@ class SimulationTool : public Simulator
     std::vector<char> block_dirty_; //!< ElabBlock id -> must re-run
     Csr<int> comb_readers_;         //!< token -> scheduled comb readers
     Csr<int> comb_writers_;         //!< token -> scheduled comb writers
-    /** Block -> arena-resident net writes, change-detected around a
-     *  specialized block's run. */
+    /** Block -> arena-resident net writes, in ElabBlock::writes order
+     *  (the bit order of a native block's change mask). */
     Csr<WordSpan> block_spans_;
     /** flop_plan_.ranges[r] -> the static flop nets inside it. */
     Csr<WordSpan> range_nets_;
-    std::vector<uint64_t> span_snapshot_; //!< one block's output words
+    /** One bytecode block's output words, diffed around its run. */
+    std::vector<uint64_t> span_snapshot_;
     std::vector<int> gate_changed_;       //!< step-level change list
     /** Tokens tick blocks write with blocking semantics (plain nets
      *  never statically flopped, and every tick-written array): their

@@ -301,7 +301,15 @@ FuzzRunner::runCase(const FuzzSpec &spec,
                                        " islands: " + audit.summary());
     }
 
-    SideRun ref = runSide(spec, spec.side_a, /*apply_fault=*/false);
+    // A kernel exception fails this case, not the sweep: a throwing
+    // reference marks the case bad, a throwing candidate diverges.
+    SideRun ref;
+    try {
+        ref = runSide(spec, spec.side_a, /*apply_fault=*/false);
+    } catch (const std::exception &e) {
+        res.ref_error = e.what();
+        return res;
+    }
     res.ref_digest = ref.digest;
 
     bool have_compiler = CppJit::compilerAvailable();
@@ -310,8 +318,18 @@ FuzzRunner::runCase(const FuzzSpec &spec,
             ++res.matrix_skipped;
             continue;
         }
-        SideRun run = runSide(spec, side, spec.fault.active);
         ++res.matrix_run;
+        SideRun run;
+        try {
+            run = runSide(spec, side, spec.fault.active);
+        } catch (const std::exception &e) {
+            FuzzDivergence d;
+            d.side = side;
+            d.threw = true;
+            d.detail = std::string("threw: ") + e.what();
+            res.divergences.push_back(std::move(d));
+            continue;
+        }
         if (run.digest != ref.digest) {
             FuzzSpec pair = spec;
             pair.side_b = side;
@@ -377,9 +395,13 @@ FuzzCaseResult::summary() const
         os << ", " << lint_errors.size() << " lint error(s)";
     if (!audit_errors.empty())
         os << ", " << audit_errors.size() << " race-audit error(s)";
+    if (!ref_error.empty())
+        os << ", reference threw";
     for (const FuzzDivergence &d : divergences) {
         os << ", DIVERGED [" << d.side.str() << "] ";
-        if (d.vcd_only)
+        if (d.threw)
+            os << "threw";
+        else if (d.vcd_only)
             os << "vcd byte " << d.vcd_byte;
         else
             os << "cycle " << d.first_cycle;

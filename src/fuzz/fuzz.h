@@ -248,6 +248,7 @@ struct FuzzDivergence
 {
     FuzzSide side;
     bool vcd_only = false;     //!< digests agreed, VCD bytes differed
+    bool threw = false;        //!< the candidate threw; detail says what
     uint64_t first_cycle = 0;  //!< from the bisector (digest cases)
     size_t vcd_byte = 0;       //!< first differing byte (vcd_only)
     std::vector<std::string> nets; //!< divergent nets at first_cycle
@@ -266,12 +267,15 @@ struct FuzzCaseResult
     int matrix_skipped = 0; //!< candidates skipped (no compiler)
     std::vector<std::string> lint_errors;
     std::vector<std::string> audit_errors;
+    /** what() of an exception the reference side threw (the matrix
+     *  then has nothing to compare against and is not run). */
+    std::string ref_error;
     std::vector<FuzzDivergence> divergences;
 
     bool ok() const
     {
         return lint_errors.empty() && audit_errors.empty() &&
-               divergences.empty();
+               ref_error.empty() && divergences.empty();
     }
 
     /** One line per case; stable across runs of the same seed. */

@@ -501,13 +501,15 @@ TEST(JitCacheCap, PublishTrimsTheCacheDirectory)
     std::string so_a = jit.cachePathFor(src_a);
     std::string so_b = jit.cachePathFor(src_b);
     {
-        CppJitLibrary lib_a = jit.compile(src_a, 1);
+        CppJitLibrary lib_a =
+            jit.compile(src_a, 1, CppJitLibrary::Abi::Unit);
     }
     struct stat st;
     EXPECT_EQ(::stat(so_a.c_str(), &st), 0) << "publish failed";
     {
         // Cap 0: publishing B must evict A (LRU) but keep B itself.
-        CppJitLibrary lib_b = jit.compile(src_b, 1);
+        CppJitLibrary lib_b =
+            jit.compile(src_b, 1, CppJitLibrary::Abi::Unit);
     }
     EXPECT_NE(::stat(so_a.c_str(), &st), 0) << "A not evicted";
     EXPECT_EQ(::stat(so_b.c_str(), &st), 0) << "B wrongly evicted";

@@ -17,12 +17,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <unistd.h>
 
+#include "core/ir_cpp.h"
 #include "core/jit_cpp.h"
+#include "core/layout.h"
 #include "core/psim.h"
 #include "core/sim.h"
 #include "core/vcd.h"
@@ -451,6 +455,194 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::string("bytecode"), std::string("cpp-block")),
     [](const ::testing::TestParamInfo<std::string> &i) {
         return paramName(i.param, 1);
+    });
+
+// --------------------------------------- compiled change masks
+
+/**
+ * One comb block ("fan") writes kWide nets, and only the nets at write
+ * index >= 63 move (the rest are constants), so every change it
+ * reports lands on the saturating bit 63 of its change mask. The last
+ * net follows the counter and the other moving ones follow it divided
+ * by 8, so most cycles only a net past the 64th changes. Each fan net
+ * has its own comb reader and a register behind it, so a missed mark
+ * shows up in state.
+ */
+class WideFanout : public Model
+{
+  public:
+    static constexpr int kWide = 80;
+    static constexpr int kFirstMoving = 63;
+    Wire cnt;
+    std::deque<Wire> fan, echo, held;
+
+    WideFanout() : Model(nullptr, "wide"), cnt(this, "cnt", 8)
+    {
+        for (int i = 0; i < kWide; ++i) {
+            const std::string n = std::to_string(i);
+            fan.emplace_back(this, "fan" + n, 8);
+            echo.emplace_back(this, "echo" + n, 8);
+            held.emplace_back(this, "held" + n, 8);
+        }
+        auto &count = tickRtl("count");
+        count.if_(rd(reset), [&] { count.assign(cnt, 0); },
+                  [&] { count.assign(cnt, rd(cnt) + 1); });
+        auto &f = combinational("fan");
+        for (int i = 0; i < kWide; ++i) {
+            if (i < kFirstMoving)
+                f.assign(fan[i], static_cast<uint64_t>(i));
+            else if (i < kWide - 1)
+                f.assign(fan[i], (rd(cnt) >> 3) + static_cast<uint64_t>(i));
+            else
+                f.assign(fan[i], rd(cnt));
+        }
+        for (int i = 0; i < kWide; ++i)
+            combinational("echo" + std::to_string(i))
+                .assign(echo[i], ~rd(fan[i]));
+        auto &hold = tickRtl("hold");
+        for (int i = 0; i < kWide; ++i)
+            hold.assign(held[i], rd(echo[i]));
+    }
+};
+
+int
+blockNamed(const Elaboration &elab, const std::string &name)
+{
+    for (size_t b = 0; b < elab.blocks.size(); ++b) {
+        if (elab.blocks[b].name == name)
+            return static_cast<int>(b);
+    }
+    return -1;
+}
+
+class GatingWideMask : public ::testing::TestWithParam<LayoutPolicy>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!CppJit::compilerAvailable())
+            GTEST_SKIP() << "no host compiler";
+    }
+};
+
+TEST_P(GatingWideMask, SaturatedBitMatchesUngated)
+{
+    WideFanout ta, tb;
+    auto elab = ta.elaborate();
+    const int fan = blockNamed(*elab, "wide.fan");
+    ASSERT_GE(fan, 0);
+    const std::vector<int> &writes = elab->blocks[fan].writes;
+    ASSERT_EQ(writes.size(), size_t(WideFanout::kWide));
+    for (int i = 0; i < WideFanout::kWide; ++i) {
+        ASSERT_EQ(writes[i], ta.fan[i].netId())
+            << "write " << i << " is not fan" << i
+            << ": the moving nets would not sit on the saturating bit";
+    }
+    SimConfig cfg = gateCfg("cpp-block", 1, true);
+    cfg.layout = GetParam();
+    auto on = makeSimulator(elab, cfg);
+    cfg.gating = false;
+    auto off = makeSimulator(tb.elaborate(), cfg);
+    on->reset();
+    off->reset();
+    for (int c = 0; c < 96; ++c) {
+        on->cycle();
+        off->cycle();
+        expectSameState(*on, *off, "wide fan-out");
+    }
+    // The 63 constant fan nets' readers sleep every cycle.
+    EXPECT_GE(on->gatedSteps(), 64u * WideFanout::kFirstMoving);
+}
+
+/**
+ * The mask a compiled block returns must equal a word diff of its
+ * output nets across the call, bit i for write i and bit 63 for all
+ * writes from the 64th on: over random arena states, and under the
+ * profile layout also for outputs packed into shared words.
+ */
+TEST_P(GatingWideMask, EmittedMaskEqualsOutputWordDiff)
+{
+    WideFanout top;
+    auto elab = top.elaborate();
+    auto layout = std::make_shared<const ArenaLayout>(
+        GetParam() == LayoutPolicy::Profile
+            ? ArenaLayout::profiled(*elab, nullptr, nullptr)
+            : ArenaLayout::elabOrder(*elab));
+    ArenaStore store(*elab, layout);
+    std::vector<std::vector<int>> groups;
+    int packed_outputs = 0;
+    for (size_t b = 0; b < elab->blocks.size(); ++b) {
+        const ElabBlock &blk = elab->blocks[b];
+        if (!blk.ir)
+            continue;
+        groups.push_back({static_cast<int>(b)});
+        if (blk.ir->sequential)
+            continue;
+        for (int net : blk.writes)
+            packed_outputs += store.packed(net);
+    }
+    if (GetParam() == LayoutPolicy::Profile) {
+        ASSERT_GT(packed_outputs, 0) << "no packed output to cover";
+    }
+    CppJit jit;
+    CppJitLibrary lib =
+        jit.compile(cppEmitProgram(*elab, store, groups),
+                    static_cast<int>(groups.size()),
+                    CppJitLibrary::Abi::Block);
+
+    std::mt19937_64 rng(7);
+    const int nnets = static_cast<int>(elab->nets.size());
+    auto randomize = [&](int net) {
+        store.write(net, Bits(store.nbits(net), rng() & store.mask(net)));
+    };
+    int zero = 0, saturated = 0, low = 0;
+    const int cnt = top.cnt.netId();
+    for (int trial = 0; trial < 64; ++trial) {
+        // Even trials scramble everything; odd ones step only the
+        // counter, so settled outputs stay put and masks go sparse.
+        if (trial % 2 == 0) {
+            for (int net = 0; net < nnets; ++net)
+                randomize(net);
+        } else {
+            const uint64_t next = store.read(cnt).toUint64() + 1;
+            store.write(cnt, Bits(store.nbits(cnt), next & store.mask(cnt)));
+        }
+        for (size_t k = 0; k < groups.size(); ++k) {
+            const ElabBlock &blk = elab->blocks[groups[k][0]];
+            uint64_t *w = store.data();
+            std::vector<uint64_t> before(w, w + store.wordsPerPhase());
+            const uint64_t mask = lib.blocks()[k](w);
+            uint64_t expect = 0;
+            for (size_t i = 0; !blk.ir->sequential && i < blk.writes.size();
+                 ++i) {
+                const int net = blk.writes[i];
+                for (int wd = 0; wd < store.nwords(net); ++wd) {
+                    const int off = store.offset(net) + wd;
+                    if (w[off] != before[off])
+                        expect |= uint64_t(1) << std::min<size_t>(i, 63);
+                }
+            }
+            ASSERT_EQ(mask, expect)
+                << blk.name << ", trial " << trial;
+            if (blk.ir->sequential)
+                continue;
+            zero += mask == 0;
+            saturated += (mask >> 63) & 1;
+            low += (mask & ~(uint64_t(1) << 63)) != 0;
+        }
+    }
+    EXPECT_GT(zero, 0);
+    EXPECT_GT(saturated, 0);
+    EXPECT_GT(low, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CppBlock, GatingWideMask,
+    ::testing::Values(LayoutPolicy::Elab, LayoutPolicy::Profile),
+    [](const ::testing::TestParamInfo<LayoutPolicy> &i) {
+        return std::string(i.param == LayoutPolicy::Profile ? "profile"
+                                                            : "elab");
     });
 
 } // namespace

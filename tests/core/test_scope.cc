@@ -390,17 +390,20 @@ TEST_F(JitCacheTest, CacheHitAcrossInstancesMissAcrossFlags)
         GTEST_SKIP() << "no host compiler";
 
     CppJit jit1(dir_, true);
-    CppJitLibrary lib1 = jit1.compile(kTrivialSource, 1);
+    CppJitLibrary lib1 =
+        jit1.compile(kTrivialSource, 1, CppJitLibrary::Abi::Unit);
     EXPECT_FALSE(lib1.cacheHit());
 
     // Fresh instance, same dir/flags: warm, like a second process.
     CppJit jit2(dir_, true);
-    CppJitLibrary lib2 = jit2.compile(kTrivialSource, 1);
+    CppJitLibrary lib2 =
+        jit2.compile(kTrivialSource, 1, CppJitLibrary::Abi::Unit);
     EXPECT_TRUE(lib2.cacheHit());
 
     // Same source, different flags: must recompile, not reuse.
     CppJit jit3(dir_, true, "-DCMTL_TEST=1");
-    CppJitLibrary lib3 = jit3.compile(kTrivialSource, 1);
+    CppJitLibrary lib3 =
+        jit3.compile(kTrivialSource, 1, CppJitLibrary::Abi::Unit);
     EXPECT_FALSE(lib3.cacheHit());
 }
 

@@ -160,6 +160,58 @@ TEST(FuzzDiff, CleanSeedsAgreeAcrossQuickMatrix)
     }
 }
 
+// A kernel exception fails its case, not the sweep. ParSim rejects a
+// boxed-host backend at construction, so {interp, threads 4} throws
+// from makeSimulator on any design.
+TEST(FuzzDiff, ThrowingCandidateDivergesAndSweepContinues)
+{
+    FuzzSide throws;
+    throws.backend = "interp";
+    throws.threads = 4;
+    FuzzSide after;
+    after.backend = "optinterp";
+    FuzzSpec spec;
+    spec.seed = 3;
+    spec.cycles = 40;
+    FuzzRunner runner;
+    FuzzCaseResult res = runner.runCase(spec, {throws, after});
+    EXPECT_FALSE(res.ok());
+    EXPECT_EQ(res.matrix_run, 2) << "the side after the throw must run";
+    EXPECT_TRUE(res.ref_error.empty());
+    ASSERT_EQ(res.divergences.size(), 1u) << res.summary();
+    const FuzzDivergence &d = res.divergences[0];
+    EXPECT_TRUE(d.threw);
+    EXPECT_EQ(d.side.str(), throws.str());
+    EXPECT_EQ(d.detail.rfind("threw: ParSim requires an arena-hosted "
+                             "backend",
+                             0),
+              0u)
+        << d.detail;
+    EXPECT_NE(res.summary().find("DIVERGED [interp t4 elab] threw"),
+              std::string::npos)
+        << res.summary();
+}
+
+TEST(FuzzDiff, ThrowingReferenceMarksCaseBad)
+{
+    FuzzSpec spec;
+    spec.seed = 3;
+    spec.cycles = 40;
+    spec.side_a.backend = "interp";
+    spec.side_a.threads = 4;
+    FuzzSide cand;
+    cand.backend = "optinterp";
+    FuzzRunner runner;
+    FuzzCaseResult res = runner.runCase(spec, {cand});
+    EXPECT_FALSE(res.ok());
+    EXPECT_NE(res.ref_error.find("ParSim requires an arena-hosted backend"),
+              std::string::npos)
+        << res.ref_error;
+    EXPECT_TRUE(res.divergences.empty());
+    EXPECT_EQ(res.matrix_run, 0) << "nothing to compare candidates with";
+    EXPECT_NE(res.summary().find("reference threw"), std::string::npos);
+}
+
 // The acceptance criterion: an intentionally injected backend bug is
 // caught by the differential runner and auto-minimized by the shrinker
 // into a spec that still replays as a divergence.
