@@ -3,9 +3,10 @@
  * Microbenchmarks of the framework primitives (google-benchmark).
  *
  * Covers the Bits value type (narrow and wide paths), the three IR
- * execution engines on an operator-torture block, and the two signal
- * storage backends — the primitives whose relative costs produce the
- * macro-level results in Figures 13-15.
+ * execution engines on an operator-torture block, the two signal
+ * storage backends, and host-code Signal access on a live simulator —
+ * the primitives whose relative costs produce the macro-level results
+ * in Figures 13-15.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "core/jit_cpp.h"
 #include "core/ir_cpp.h"
 #include "core/model.h"
+#include "core/sim.h"
 #include "core/store.h"
 
 namespace {
@@ -203,6 +205,37 @@ BM_StoreArenaReadWrite(benchmark::State &state)
     }
 }
 BENCHMARK(BM_StoreArenaReadWrite);
+
+// ------------------------------------------------ host signal access
+
+/** Signal::u64() on an arena-hosted simulator (the slot view). */
+void
+BM_SignalReadU64(benchmark::State &state)
+{
+    TortureAlu alu;
+    SimulationTool sim(alu.elaborate(), SimConfig::fromString("optinterp"));
+    alu.a.setValue(uint64_t(0x1234));
+    alu.b.setValue(uint64_t(0x42));
+    sim.eval();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(alu.res.u64());
+}
+BENCHMARK(BM_SignalReadU64);
+
+/** Signal::setNext(uint64_t) on a net already registered as a flop. */
+void
+BM_SignalSetNextU64(benchmark::State &state)
+{
+    TortureAlu alu;
+    SimulationTool sim(alu.elaborate(), SimConfig::fromString("optinterp"));
+    uint64_t i = 0;
+    alu.a.setNext(i); // the first write registers the flop
+    for (auto _ : state) {
+        alu.a.setNext(++i);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_SignalSetNextU64);
 
 } // namespace
 

@@ -81,6 +81,21 @@ BitStructLayout::pack(std::initializer_list<uint64_t> values) const
     return out;
 }
 
+uint64_t
+BitStructLayout::packWord(std::initializer_list<uint64_t> values) const
+{
+    if (nbits_ > 64)
+        throw std::logic_error("packWord: " + name_ + " is " +
+                               std::to_string(nbits_) + " bits wide");
+    if (values.size() != fields_.size())
+        throw std::invalid_argument("pack: wrong number of field values");
+    uint64_t out = 0;
+    auto it = values.begin();
+    for (const auto &f : fields_)
+        out |= f.place(*it++);
+    return out;
+}
+
 std::string
 BitStructLayout::trace(const Bits &msg) const
 {

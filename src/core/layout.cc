@@ -313,4 +313,36 @@ ArenaLayout::flopPlan(const std::vector<int> &flop_nets) const
     return plan;
 }
 
+FlopCopyPlan
+ArenaLayout::dynamicFlopPlan(const std::vector<int> &flop_nets,
+                             const std::vector<char> &flopped) const
+{
+    FlopCopyPlan plan;
+    std::vector<int> words;
+    for (int net : flop_nets) {
+        const LayoutSlot &s = slots_[net];
+        bool whole = true;
+        for (int w = 0; w < s.nwords; ++w) {
+            for (int mate : word_nets_[s.word_off + w])
+                whole = whole && flopped[mate];
+        }
+        if (!whole) {
+            plan.nets.push_back(net);
+            continue;
+        }
+        for (int w = 0; w < s.nwords; ++w)
+            words.push_back(s.word_off + w);
+    }
+    std::sort(words.begin(), words.end());
+    words.erase(std::unique(words.begin(), words.end()), words.end());
+    for (int w : words) {
+        if (!plan.ranges.empty() &&
+            plan.ranges.back().off + plan.ranges.back().nwords == w)
+            ++plan.ranges.back().nwords;
+        else
+            plan.ranges.push_back({w, 1});
+    }
+    return plan;
+}
+
 } // namespace cmtl

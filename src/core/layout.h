@@ -100,6 +100,10 @@ struct FlopRange
 struct FlopCopyPlan
 {
     std::vector<FlopRange> ranges;
+    /** Flop nets outside every range — each shares a word with a
+     *  resident that is not flopped — copied per net with a masked
+     *  store (ArenaStore::flop). Always empty for static flops. */
+    std::vector<int> nets;
 };
 
 /**
@@ -146,6 +150,20 @@ class ArenaLayout
      * (asserted).
      */
     FlopCopyPlan flopPlan(const std::vector<int> &flop_nets) const;
+
+    /**
+     * Copy plan for dynamically registered flops (a lambda's
+     * writeNext), built from @p flop_nets' own words, sorted and
+     * coalesced: O(D log D) in the D words, not in the phase size. A
+     * word joins a range iff every resident net is flopped per
+     * @p flopped (indexed by net); a net whose word also holds a
+     * resident that is not flopped (profile bit packing) goes to
+     * FlopCopyPlan::nets instead. Packing never mixes static and
+     * dynamic flops in a word, so the ranges are disjoint from the
+     * static plan's.
+     */
+    FlopCopyPlan dynamicFlopPlan(const std::vector<int> &flop_nets,
+                                 const std::vector<char> &flopped) const;
 
   private:
     std::vector<LayoutSlot> slots_;

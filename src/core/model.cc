@@ -26,7 +26,7 @@ Signal::fullName() const
 }
 
 Bits
-Signal::value() const
+Signal::valueSlow() const
 {
     if (!access_)
         throw std::logic_error("read of '" + fullName() +
@@ -50,18 +50,12 @@ Signal::setValue(uint64_t v)
 }
 
 void
-Signal::setNext(const Bits &v)
+Signal::setNextSlow(const Bits &v)
 {
     if (!access_)
         throw std::logic_error("write of '" + fullName() +
                                "' outside a simulation");
     access_->writeNext(*this, v);
-}
-
-void
-Signal::setNext(uint64_t v)
-{
-    setNext(Bits(nbits_, v));
 }
 
 // -------------------------------------------------------------- MemArray

@@ -10,6 +10,25 @@
  * on the signal are routed through the simulator's SignalAccess
  * backend, which differs per execution mode (boxed dictionary storage
  * for the CPython-analog interpreter, dense arena slots otherwise).
+ *
+ * Slot-bound fast path. An arena-hosted sequential simulator publishes
+ * a SignalAccess::SlotView: the arena base, the words per phase and
+ * per-net word/shift tables. u64(), value() and both setNext()
+ * overloads read and write the net's arena word inline through it —
+ * no virtual call, no Bits construction for u64()/setNext(uint64_t) —
+ * the host-code analog of a tracing JIT's attribute cache. These stay
+ * on the virtual path:
+ *  - every access on a simulator that publishes no view (null words):
+ *    the boxed hosts ("interp" and the hybrids, whose storage owner
+ *    differs per net) and ParSim (whose writes route to the owning
+ *    island's replica);
+ *  - nets wider than 64 bits (offset -1 in the view);
+ *  - setNext() on a net not yet registered as flopped: the first
+ *    non-blocking write registers it through the simulator;
+ *  - setValue(): a blocking write must mark the net's readers dirty.
+ * The view is republished (a handful of pointer stores, no walk over
+ * the signals) when the simulator's arena moves — the mid-run PGO
+ * arena migration.
  */
 
 #ifndef CMTL_CORE_SIGNAL_H
@@ -37,6 +56,19 @@ enum class SignalDir { Input, Output, Wire };
 class SignalAccess
 {
   public:
+    /**
+     * Non-virtual view of the simulator's word arena for narrow nets
+     * (see the file comment). A null @c words means no fast path.
+     */
+    struct SlotView
+    {
+        uint64_t *words = nullptr;     //!< current-phase word 0
+        int phase = 0;                 //!< words per phase (next = +phase)
+        const int *offset = nullptr;   //!< per net: word, or -1
+        const int *shift = nullptr;    //!< per net: bit position
+        const char *flopped = nullptr; //!< per net: registered flop
+    };
+
     virtual ~SignalAccess() = default;
 
     /** Current (combinationally settled) value. */
@@ -45,6 +77,12 @@ class SignalAccess
     virtual void write(Signal &sig, const Bits &value) = 0;
     /** Non-blocking write: visible after the next clock edge. */
     virtual void writeNext(Signal &sig, const Bits &value) = 0;
+
+    /** The published fast-path view (null words when none). */
+    const SlotView &slotView() const { return view_; }
+
+  protected:
+    SlotView view_;
 };
 
 /**
@@ -74,15 +112,41 @@ class Signal
     // --- Run-time access (valid once a simulator is attached) ------
 
     /** Current value. */
-    Bits value() const;
+    Bits
+    value() const
+    {
+        if (const uint64_t *w = slotWord())
+            return Bits(nbits_, narrowValue(w));
+        return valueSlow();
+    }
     /** Current value as uint64 (low word). */
-    uint64_t u64() const { return value().toUint64(); }
+    uint64_t
+    u64() const
+    {
+        if (const uint64_t *w = slotWord())
+            return narrowValue(w);
+        return valueSlow().toUint64();
+    }
     /** Blocking write (".value =" in PyMTL). */
     void setValue(const Bits &v);
     void setValue(uint64_t v);
     /** Non-blocking write (".next =" in PyMTL). */
-    void setNext(const Bits &v);
-    void setNext(uint64_t v);
+    void
+    setNext(const Bits &v)
+    {
+        if (uint64_t *w = nextWord())
+            storeNext(w, v.toUint64());
+        else
+            setNextSlow(v);
+    }
+    void
+    setNext(uint64_t v)
+    {
+        if (uint64_t *w = nextWord())
+            storeNext(w, v);
+        else
+            setNextSlow(Bits(nbits_, v));
+    }
 
     // --- Elaboration/simulator hooks (framework internal) ----------
     void setNetId(int id) { net_id_ = id; }
@@ -90,6 +154,47 @@ class Signal
     SignalAccess *access() const { return access_; }
 
   private:
+    /** The net's current-phase arena word, or null (virtual path). */
+    const uint64_t *
+    slotWord() const
+    {
+        if (!access_)
+            return nullptr;
+        const SignalAccess::SlotView &v = access_->slotView();
+        if (!v.words)
+            return nullptr;
+        const int off = v.offset[net_id_];
+        return off >= 0 ? v.words + off : nullptr;
+    }
+    /** The net's next-phase word once it is a registered flop. */
+    uint64_t *
+    nextWord() const
+    {
+        if (!access_)
+            return nullptr;
+        const SignalAccess::SlotView &v = access_->slotView();
+        if (!v.words || !v.flopped[net_id_])
+            return nullptr;
+        const int off = v.offset[net_id_];
+        return off >= 0 ? v.words + off + v.phase : nullptr;
+    }
+    uint64_t
+    narrowValue(const uint64_t *w) const
+    {
+        return (*w >> access_->slotView().shift[net_id_]) &
+               topWordMask(nbits_);
+    }
+    /** Masked read-modify-write: packed word-mates keep their bits. */
+    void
+    storeNext(uint64_t *w, uint64_t v)
+    {
+        const uint64_t m = topWordMask(nbits_);
+        const int sh = access_->slotView().shift[net_id_];
+        *w = (*w & ~(m << sh)) | ((v & m) << sh);
+    }
+    Bits valueSlow() const;
+    void setNextSlow(const Bits &v);
+
     Model *owner_;
     std::string name_;
     int nbits_;

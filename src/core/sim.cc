@@ -151,12 +151,14 @@ SimulationTool::SimulationTool(std::shared_ptr<Elaboration> elab,
             markFlopped(net.id);
     }
     // The static flop set is final here; nets registered later (a
-    // lambda's writeNext) append past this prefix and stay on the
-    // per-net host loop. The copy plan coalesces the static set into
-    // whole-word ranges where the layout allows.
+    // lambda's writeNext) append past this prefix and get their own
+    // copy plan (flopDynamic). The copy plan coalesces the static set
+    // into whole-word ranges where the layout allows.
     n_static_flops_ = flopped_nets_.size();
+    dyn_planned_ = n_static_flops_;
     if (arena_)
         flop_plan_ = arena_->layout().flopPlan(flopped_nets_);
+    publishSlotView();
 
     // Arrays written by tick blocks re-trigger their readers each
     // cycle under event-driven scheduling.
@@ -217,6 +219,18 @@ SimulationTool::~SimulationTool()
         if (sig->access() == this)
             sig->setAccess(nullptr);
     }
+}
+
+void
+SimulationTool::publishSlotView()
+{
+    if (!arena_ || useBoxed())
+        return;
+    view_.words = arena_->data();
+    view_.phase = arena_->wordsPerPhase();
+    view_.offset = arena_->narrowOffsets();
+    view_.shift = arena_->shifts();
+    view_.flopped = is_flopped_.data();
 }
 
 SimulationTool::Step
@@ -643,7 +657,7 @@ SimulationTool::specializeDesign(const std::vector<char> &can,
 
     // The flop phase of the static flop set, coalesced into whole-word
     // next->current copy ranges. Nets registered dynamically later (a
-    // lambda's writeNext) stay on the host loop — see doFlop.
+    // lambda's writeNext) get their own plan — see flopDynamic.
     std::vector<int> static_flops(flopped_nets_.begin(),
                                   flopped_nets_.begin() +
                                       static_cast<long>(n_static_flops_));
@@ -805,6 +819,7 @@ SimulationTool::migrateArena()
         }
     }
     arena_ = std::move(pgo_arena_);
+    publishSlotView();
     slot_eval_ = std::make_unique<SlotEvaluator>(*arena_);
     accessor_.bind(arena_.get(), boxed_.get(),
                    [this](int token) { return tokenInArena(token); });
@@ -812,6 +827,7 @@ SimulationTool::migrateArena()
         std::vector<int>(flopped_nets_.begin(),
                          flopped_nets_.begin() +
                              static_cast<long>(n_static_flops_)));
+    planDynamicFlops();
     // The bytecode tier's programs still index the old layout, but
     // they die with the swap: active_* swing to the design schedule in
     // adoptNativeTier() and never swing back.
@@ -914,21 +930,8 @@ SimulationTool::buildGating()
     // Flop range -> the static flop nets it holds, so a range whose
     // next words differ marks exactly its changed nets.
     if (spans) {
-        std::vector<int> range_of_word(arena_->wordsPerPhase(), -1);
-        for (size_t r = 0; r < flop_plan_.ranges.size(); ++r) {
-            const FlopRange &rg = flop_plan_.ranges[r];
-            for (int w = 0; w < rg.nwords; ++w)
-                range_of_word[rg.off + w] = static_cast<int>(r);
-        }
-        std::vector<std::vector<WordSpan>> rows(flop_plan_.ranges.size());
-        for (size_t i = 0; i < n_static_flops_; ++i) {
-            const int net = flopped_nets_[i];
-            const int r = range_of_word[arena_->offset(net)];
-            if (r >= 0)
-                rows[r].push_back(
-                    {net, arena_->offset(net), arena_->nwords(net)});
-        }
-        range_nets_ = Csr<WordSpan>::fromRows(rows);
+        range_nets_ = rangeNets(flop_plan_, flopped_nets_.data(),
+                                flopped_nets_.data() + n_static_flops_);
     }
 
     // Tokens tick blocks may write with blocking semantics: plain
@@ -1351,26 +1354,22 @@ SimulationTool::doFlop(std::vector<int> *changed)
 {
     if (design_native_) {
         // Statically flopped nets are copied by the compiled flop
-        // unit; the host loop covers only the dynamically registered
-        // tail. cpp-design is never event-driven, so no change
-        // notification is needed.
+        // unit, the dynamically registered tail by its own plan.
+        // cpp-design is never event-driven, so no change notification
+        // is needed.
         (void)changed;
         design_flop_fn_(arena_->data());
-        for (size_t i = n_static_flops_; i < flopped_nets_.size(); ++i)
-            arena_->flop(flopped_nets_[i]);
+        flopDynamic();
         return;
     }
     if (arena_ && !useBoxed() && !changed) {
         // Copy the static flop set as whole-word ranges, then the
         // dynamic tail; gating change-detects per range.
         if (gating_)
-            flopRangesGated();
+            flopRangesGated(flop_plan_.ranges, range_nets_);
         else
             arena_->flopRanges(flop_plan_.ranges);
-        for (size_t i = n_static_flops_; i < flopped_nets_.size(); ++i) {
-            if (arena_->flop(flopped_nets_[i]) && gating_)
-                markTokenBlocksDirty(flopped_nets_[i]);
-        }
+        flopDynamic();
         return;
     }
     for (int net : flopped_nets_) {
@@ -1386,7 +1385,58 @@ SimulationTool::doFlop(std::vector<int> *changed)
 }
 
 void
-SimulationTool::flopRangesGated()
+SimulationTool::flopDynamic()
+{
+    if (flopped_nets_.size() != dyn_planned_)
+        planDynamicFlops();
+    if (gating_)
+        flopRangesGated(dyn_plan_.ranges, dyn_range_nets_);
+    else
+        arena_->flopRanges(dyn_plan_.ranges);
+    for (int net : dyn_plan_.nets) {
+        if (arena_->flop(net) && gating_)
+            markTokenBlocksDirty(net);
+    }
+}
+
+void
+SimulationTool::planDynamicFlops()
+{
+    dyn_planned_ = flopped_nets_.size();
+    const std::vector<int> tail(
+        flopped_nets_.begin() + static_cast<long>(n_static_flops_),
+        flopped_nets_.end());
+    dyn_plan_ = arena_->layout().dynamicFlopPlan(tail, is_flopped_);
+    if (gating_) {
+        dyn_range_nets_ =
+            rangeNets(dyn_plan_, tail.data(), tail.data() + tail.size());
+    }
+}
+
+SimulationTool::Csr<SimulationTool::WordSpan>
+SimulationTool::rangeNets(const FlopCopyPlan &plan, const int *first,
+                          const int *last) const
+{
+    std::vector<std::vector<WordSpan>> rows(plan.ranges.size());
+    for (const int *n = first; n != last; ++n) {
+        const int off = arena_->offset(*n);
+        // The last range starting at or before the net's first word.
+        auto it = std::upper_bound(
+            plan.ranges.begin(), plan.ranges.end(), off,
+            [](int w, const FlopRange &r) { return w < r.off; });
+        if (it == plan.ranges.begin())
+            continue;
+        --it;
+        if (off < it->off + it->nwords)
+            rows[it - plan.ranges.begin()].push_back(
+                {*n, off, arena_->nwords(*n)});
+    }
+    return Csr<WordSpan>::fromRows(rows);
+}
+
+void
+SimulationTool::flopRangesGated(const std::vector<FlopRange> &ranges,
+                                const Csr<WordSpan> &range_nets)
 {
     // An unchanged range is skipped outright; a changed one marks the
     // flop nets whose words differ (a packed word compares whole —
@@ -1394,14 +1444,14 @@ SimulationTool::flopRangesGated()
     // readers), then copies as one block.
     uint64_t *words = arena_->data();
     const int phase = arena_->wordsPerPhase();
-    for (size_t r = 0; r < flop_plan_.ranges.size(); ++r) {
-        const FlopRange &rg = flop_plan_.ranges[r];
+    for (size_t r = 0; r < ranges.size(); ++r) {
+        const FlopRange &rg = ranges[r];
         uint64_t *cur = words + rg.off;
         const size_t bytes = static_cast<size_t>(rg.nwords) * sizeof(uint64_t);
         if (std::memcmp(cur, cur + phase, bytes) == 0)
             continue;
-        for (const WordSpan *s = range_nets_.begin(static_cast<int>(r)),
-                            *e = range_nets_.end(static_cast<int>(r));
+        for (const WordSpan *s = range_nets.begin(static_cast<int>(r)),
+                            *e = range_nets.end(static_cast<int>(r));
              s != e; ++s) {
             const uint64_t *w = words + s->off;
             bool differs = false;

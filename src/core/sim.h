@@ -522,6 +522,9 @@ class SimulationTool : public Simulator
     }
     void startPgoBuild();
     void migrateArena();
+    /** Point the SignalAccess slot view at the current arena (arena-
+     *  hosted only; boxed hosts publish none). */
+    void publishSlotView();
     void runStep(const Step &step, std::vector<int> *changed);
     void runStepImpl(const Step &step, std::vector<int> *changed);
     void cycleProfiled();
@@ -549,6 +552,10 @@ class SimulationTool : public Simulator
     void enqueueReaders(int net);
     void markFlopped(int net);
     void doFlop(std::vector<int> *changed);
+    /** Flop the dynamically registered tail through its copy plan,
+     *  rebuilding the plan first when the tail has grown. */
+    void flopDynamic();
+    void planDynamicFlops();
     void buildGating();
     void settleGated();
     /** Gated run of one arena-hosted specialized comb block (@p bc, or
@@ -556,7 +563,15 @@ class SimulationTool : public Simulator
      *  Bytecode diffs a snapshot of the block's output words; native
      *  code reports changed outputs itself (ir_cpp.h mask). */
     bool runBlockGated(const Step &step, int blk, const BcProgram *bc);
-    void flopRangesGated();
+    struct WordSpan;
+    template <typename T> struct Csr;
+    /** Copy @p ranges, marking the readers of each net in
+     *  @p range_nets (row per range) whose words changed. */
+    void flopRangesGated(const std::vector<FlopRange> &ranges,
+                         const Csr<WordSpan> &range_nets);
+    /** Per range of @p plan: the @p nets whose first word lies in it. */
+    Csr<WordSpan> rangeNets(const FlopCopyPlan &plan,
+                            const int *first, const int *last) const;
     /** Settle-internal change: re-run the token's comb readers. */
     void markReaderBlocksDirty(int token)
     {
@@ -629,6 +644,10 @@ class SimulationTool : public Simulator
     std::unique_ptr<ArenaStore> pgo_arena_; //!< awaiting adoption
     /** Static-flop copy plan for the active arena (doFlop fast path). */
     FlopCopyPlan flop_plan_;
+    /** Copy plan of the dynamic tail flopped_nets_[n_static_flops_..),
+     *  valid while flopped_nets_.size() == dyn_planned_. */
+    FlopCopyPlan dyn_plan_;
+    size_t dyn_planned_ = 0;
 
     std::vector<BcProgram> bc_programs_; //!< per specialized block
     std::vector<uint64_t> bc_scratch_;
@@ -693,6 +712,8 @@ class SimulationTool : public Simulator
     Csr<WordSpan> block_spans_;
     /** flop_plan_.ranges[r] -> the static flop nets inside it. */
     Csr<WordSpan> range_nets_;
+    /** dyn_plan_.ranges[r] -> the dynamic flop nets inside it. */
+    Csr<WordSpan> dyn_range_nets_;
     /** One bytecode block's output words, diffed around its run. */
     std::vector<uint64_t> span_snapshot_;
     std::vector<int> gate_changed_;       //!< step-level change list

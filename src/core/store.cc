@@ -92,6 +92,7 @@ ArenaStore::ArenaStore(const Elaboration &elab,
 {
     const int nnets = static_cast<int>(elab.nets.size());
     offset_.resize(nnets);
+    narrow_offset_.resize(nnets);
     shift_.resize(nnets);
     packed_.resize(nnets);
     nwords_.resize(nnets);
@@ -100,6 +101,7 @@ ArenaStore::ArenaStore(const Elaboration &elab,
     for (int i = 0; i < nnets; ++i) {
         const LayoutSlot &s = layout_->slot(i);
         offset_[i] = s.word_off;
+        narrow_offset_[i] = s.nwords == 1 ? s.word_off : -1;
         shift_[i] = s.shift;
         packed_[i] = layout_->packed(i) ? 1 : 0;
         nwords_[i] = s.nwords;

@@ -108,6 +108,12 @@ class ArenaStore
     /** True iff the net fits one word (specializable). */
     bool narrow(int net) const { return nwords_[net] == 1; }
 
+    /** Per net: the word of a one-word net, -1 for wider nets (the
+     *  SignalAccess::SlotView offset table). */
+    const int *narrowOffsets() const { return narrow_offset_.data(); }
+    /** Per net: bit position within its word. */
+    const int *shifts() const { return shift_.data(); }
+
     Bits read(int net) const;
     Bits readNext(int net) const;
     bool write(int net, const Bits &value);
@@ -136,6 +142,7 @@ class ArenaStore
     std::vector<uint64_t> words_; //!< [cur][next][array storage]
     // Flat copies of the layout's slot table (hot-path locality).
     std::vector<int> offset_;
+    std::vector<int> narrow_offset_;
     std::vector<int> shift_;
     std::vector<char> packed_;
     std::vector<int> nwords_;

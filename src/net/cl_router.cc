@@ -18,7 +18,7 @@ RouterCL::RouterCL(Model *parent, const std::string &name, int id,
         out.emplace_back(this, "out" + std::to_string(p), msg_.nbits());
     }
 
-    tickCl("router_logic", [this] {
+    tickCl("router_logic", [this, dest_f = msg_.field("dest")] {
         // 1. Output registers that fired drain.
         for (int o = 0; o < kMeshPorts; ++o) {
             if (out[o].fire())
@@ -38,8 +38,7 @@ RouterCL::RouterCL(Model *parent, const std::string &name, int id,
             if (inq_[p].empty()) {
                 head_route[p] = -1;
             } else {
-                uint64_t dest =
-                    msg_.get(inq_[p].front(), "dest").toUint64();
+                uint64_t dest = msg_.get(inq_[p].front(), dest_f).toUint64();
                 head_route[p] =
                     xyRoute(id_, static_cast<int>(dest), dim_);
             }

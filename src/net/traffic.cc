@@ -1,6 +1,7 @@
 #include "traffic.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/snap.h"
 
@@ -91,14 +92,18 @@ MeshTrafficTop::MeshTrafficTop(const std::string &name, NetLevel level,
         gens_[t].init(seed, t);
     srcq_.resize(nrouters);
 
-    tickFl("traffic", [this] {
+    // Messages stay one word end to end (packWord), with the payload
+    // field resolved once here.
+    if (msg_.nbits() > 64)
+        throw std::invalid_argument("MeshTrafficTop: network message "
+                                    "wider than 64 bits");
+    tickFl("traffic", [this, payload = msg_.field("payload")] {
         // Ejection: sinks are always ready; measure completed
         // transfers.
         for (int t = 0; t < nrouters_; ++t) {
             OutValRdy &o = (*net_out_)[t];
             if (o.fire()) {
-                uint64_t sent =
-                    msg_.get(o.msg.value(), "payload").toUint64();
+                uint64_t sent = payload.extract(o.msg.u64());
                 uint64_t lat = (now_ - sent) & kTimeMask;
                 --inflight_;
                 ++stats_.received;
@@ -121,7 +126,7 @@ MeshTrafficTop::MeshTrafficTop(const std::string &name, NetLevel level,
         for (int t = 0; t < nrouters_; ++t) {
             if (genThisCycle(t)) {
                 int dest = pickDestFor(t);
-                Bits msg = msg_.pack(
+                uint64_t msg = msg_.packWord(
                     {static_cast<uint64_t>(dest),
                      static_cast<uint64_t>(t),
                      stats_.generated & (kNumMsgIds - 1),
@@ -214,7 +219,7 @@ MeshTrafficTop::snapSave(SnapWriter &w) const
     for (const auto &queue : srcq_) {
         w.u32(static_cast<uint32_t>(queue.size()));
         for (const auto &entry : queue) {
-            w.bits(entry.first);
+            w.bits(Bits(msg_.nbits(), entry.first));
             w.u64(entry.second);
         }
     }
@@ -249,9 +254,9 @@ MeshTrafficTop::snapLoad(SnapReader &r)
         queue.clear();
         uint32_t n = r.u32();
         for (uint32_t i = 0; i < n; ++i) {
-            Bits msg = r.bits();
+            uint64_t msg = r.bits().toUint64();
             uint64_t born = r.u64();
-            queue.emplace_back(std::move(msg), born);
+            queue.emplace_back(msg, born);
         }
     }
 }

@@ -214,7 +214,8 @@ class MeshTrafficTop : public Model
     std::deque<OutValRdy> *net_out_ = nullptr;
 
     std::vector<TerminalTrafficGen> gens_;
-    std::vector<std::deque<std::pair<Bits, uint64_t>>> srcq_;
+    /** Per terminal: (one-word message, generation cycle). */
+    std::vector<std::deque<std::pair<uint64_t, uint64_t>>> srcq_;
     NetStats stats_;
     uint64_t inflight_ = 0;
 };

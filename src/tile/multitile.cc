@@ -47,8 +47,11 @@ TileMemBridge::TileMemBridge(Model *parent, const std::string &name,
     out_ = std::make_unique<stdlib::OutQueueAdapter>(net_out, 4);
     in_ = std::make_unique<stdlib::InQueueAdapter>(net_in, 4);
 
+    // Field handles resolved once; the payload fits one word.
     const BitStructLayout payload = payloadFmt();
-    tickFl("bridge_logic", [this, payload] {
+    tickFl("bridge_logic", [this, payload, pay_f = msg_.field("payload"),
+                            tag_f = payload.field("tag"),
+                            body_f = payload.field("body")] {
         imem_->xtick();
         dmem_->xtick();
         out_->xtick();
@@ -56,12 +59,10 @@ TileMemBridge::TileMemBridge(Model *parent, const std::string &name,
 
         // Unwrap responses: the tag routes each to its refill port.
         while (!in_->empty()) {
-            Bits m = in_->pop();
-            Bits body = payload.get(msg_.get(m, "payload"), "body");
-            Bits resp = body.slice(0, 33);
-            bool is_dmem =
-                payload.get(msg_.get(m, "payload"), "tag").any();
-            (is_dmem ? dmem_ : imem_)->pushResp(resp.zext(33));
+            const uint64_t pay = msg_.get(in_->pop(), pay_f).toUint64();
+            Bits resp(33, body_f.extract(pay));
+            bool is_dmem = tag_f.extract(pay) != 0;
+            (is_dmem ? dmem_ : imem_)->pushResp(resp);
         }
 
         // Wrap one request per cycle, round-robin between ports.
@@ -71,17 +72,11 @@ TileMemBridge::TileMemBridge(Model *parent, const std::string &name,
                 auto &ad = p == 0 ? imem_ : dmem_;
                 if (ad->req_q.empty())
                     continue;
-                Bits req = ad->getReq();
-                Bits pay(kPayloadBits);
-                pay.setSlice(0, req.zext(60));
-                pay.setBit(60, p == 1);
-                Bits m(msg_.nbits());
-                m = msg_.set(m, "dest",
-                             Bits(32, static_cast<uint64_t>(mem_node_)));
-                m = msg_.set(m, "src",
-                             Bits(32, static_cast<uint64_t>(tile_id_)));
-                m = msg_.set(m, "payload", pay);
-                out_->push(m);
+                const uint64_t pay = payload.packWord(
+                    {p == 1 ? 1u : 0u, ad->getReq().toUint64()});
+                out_->push(msg_.pack({static_cast<uint64_t>(mem_node_),
+                                      static_cast<uint64_t>(tile_id_), 0,
+                                      pay}));
                 rr_ = (p + 1) % 2;
                 break;
             }
@@ -100,8 +95,16 @@ MemNode::MemNode(Model *parent, const std::string &name,
     out_ = std::make_unique<stdlib::OutQueueAdapter>(net_out, 8);
     in_ = std::make_unique<stdlib::InQueueAdapter>(net_in, 8);
 
+    // Field handles resolved once; payload, request and response each
+    // fit one word.
     const BitStructLayout payload = payloadFmt();
-    tickFl("mem_logic", [this, payload] {
+    tickFl("mem_logic", [this, payload, src_f = msg_.field("src"),
+                         pay_f = msg_.field("payload"),
+                         tag_f = payload.field("tag"),
+                         body_f = payload.field("body"),
+                         type_f = mem_types_.req.field("type"),
+                         addr_f = mem_types_.req.field("addr"),
+                         data_f = mem_types_.req.field("data")] {
         ++now_;
         in_->xtick();
         out_->xtick();
@@ -109,36 +112,31 @@ MemNode::MemNode(Model *parent, const std::string &name,
         // Accept one request per cycle.
         if (!in_->empty()) {
             Bits m = in_->pop();
-            uint64_t src = msg_.get(m, "src").toUint64();
-            Bits pay = msg_.get(m, "payload");
-            Bits body = payload.get(pay, "body");
-            uint64_t type = mem_types_.req.get(body, "type").toUint64();
-            uint32_t addr = static_cast<uint32_t>(
-                mem_types_.req.get(body, "addr").toUint64());
-            uint32_t data = static_cast<uint32_t>(
-                mem_types_.req.get(body, "data").toUint64());
+            uint64_t src = msg_.get(m, src_f).toUint64();
+            const uint64_t pay = msg_.get(m, pay_f).toUint64();
+            const uint64_t body = body_f.extract(pay);
+            uint64_t type = type_f.extract(body);
+            uint32_t addr = static_cast<uint32_t>(addr_f.extract(body));
+            uint32_t data = static_cast<uint32_t>(data_f.extract(body));
 
-            Bits resp(33);
+            uint64_t resp;
             if (type == static_cast<uint64_t>(MemReqType::Read)) {
                 uint32_t value = (addr & ~3u) == (kWhoAmIAddr & ~3u)
                                      ? static_cast<uint32_t>(src)
                                      : readWord(addr);
-                resp = mem_types_.resp.pack({0, value});
+                resp = mem_types_.resp.packWord({0, value});
             } else {
                 writeWord(addr, data);
-                resp = mem_types_.resp.pack({1, 0});
+                resp = mem_types_.resp.packWord({1, 0});
             }
             ++num_requests_;
 
-            Bits rpay(msg_.field("payload").nbits);
-            rpay.setSlice(0, resp);
-            rpay.setBit(60, pay.bit(60)); // echo the port tag
-            Bits rmsg(msg_.nbits());
-            rmsg = msg_.set(rmsg, "dest", Bits(32, src));
-            rmsg = msg_.set(rmsg, "payload", rpay);
+            // Echo the port tag; the source field stays zero.
+            const uint64_t rpay =
+                payload.packWord({tag_f.extract(pay), resp});
             pending_.push_back(
                 Pending{now_ + static_cast<uint64_t>(latency_) - 1,
-                        rmsg});
+                        msg_.pack({src, 0, 0, rpay})});
         }
         if (!pending_.empty() && pending_.front().due <= now_ &&
             !out_->full()) {

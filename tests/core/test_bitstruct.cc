@@ -39,6 +39,27 @@ TEST(BitStruct, PackAndGet)
     EXPECT_THROW(layout.pack({1, 2}), std::invalid_argument);
 }
 
+TEST(BitStruct, FieldHandlesMatchNamedAccess)
+{
+    BitStructLayout layout = netMsgLayout();
+    const BitField &dest = layout.field("dest");
+    const BitField &payload = layout.field("payload");
+    const uint64_t word = layout.packWord({61, 3, 5, 0x1beef});
+    const Bits msg = layout.pack({61, 3, 5, 0x1beef});
+    EXPECT_EQ(Bits(32, word), msg); // both truncate each field
+    EXPECT_EQ(dest.extract(word), 61u);
+    EXPECT_EQ(payload.extract(word), 0xbeefu);
+    EXPECT_EQ(layout.get(msg, dest), layout.get(msg, "dest"));
+    EXPECT_EQ(layout.get(msg, payload), layout.get(msg, "payload"));
+    EXPECT_EQ(dest.place(0xff), uint64_t(0x3f) << 26);
+    EXPECT_THROW(layout.packWord({1, 2}), std::invalid_argument);
+
+    BitStructLayout wide("Wide", {{"hi", 8}, {"lo", 60}});
+    EXPECT_THROW(wide.packWord({1, 2}), std::logic_error);
+    const Bits wmsg = wide.pack({0xab, 7});
+    EXPECT_EQ(wide.get(wmsg, wide.field("hi")), Bits(8, 0xab));
+}
+
 TEST(BitStruct, SetPreservesOtherFields)
 {
     BitStructLayout layout = netMsgLayout();

@@ -215,6 +215,80 @@ TEST(PsimMultiTile, MvmultBitIdentical)
     }
 }
 
+// ------------------------------------------- host signal access
+
+/**
+ * ParSim publishes no slot view (a write must reach the owning
+ * island's replica), so lambdas and test benches keep the virtual
+ * path: every signal of at most 64 bits still reads what readNet
+ * returns, every cycle, with workers running (the TSan job's view of
+ * the host-access path). Returns the mismatch count.
+ */
+int
+signalParityErrors(const Simulator &sim, const std::string &ctx)
+{
+    int errors = 0;
+    for (const Signal *sig : sim.elaboration().signals) {
+        if (sig->nbits() > 64)
+            continue;
+        const Bits expect = sim.readNet(sig->netId());
+        if (sig->u64() != expect.toUint64() || sig->value() != expect) {
+            if (errors++ == 0) {
+                ADD_FAILURE() << ctx << ": " << sig->fullName()
+                              << " reads " << sig->value()
+                              << ", net holds " << expect << " at cycle "
+                              << sim.numCycles();
+            }
+        }
+    }
+    return errors;
+}
+
+class PsimHostAccess : public ::testing::TestWithParam<Backend>
+{};
+
+TEST_P(PsimHostAccess, Psim2MeshSignalsReadLikeReadNet)
+{
+    MeshTrafficTop top("top", NetLevel::RTL, 16, 4, 0.3, 5);
+    ParSimulationTool par(top.elaborate(), parCfg(GetParam(), 2));
+    EXPECT_EQ(par.slotView().words, nullptr);
+    par.reset();
+    int errors = 0;
+    for (int c = 0; c < 150 && errors == 0; ++c) {
+        par.cycle();
+        errors += signalParityErrors(par, "psim2 mesh");
+    }
+    EXPECT_EQ(errors, 0);
+    EXPECT_GT(top.stats().received, 0u) << "degenerate scenario";
+}
+
+TEST_P(PsimHostAccess, Psim2MultiTileSignalsReadLikeReadNet)
+{
+    using namespace tile;
+    Workload w = makeMvmultMultiTile(2, /*use_accel=*/false);
+    MultiTileSystem sys("sys", std::vector<std::array<Level, 3>>{
+                                   {Level::CL, Level::CL, Level::CL},
+                                   {Level::RTL, Level::RTL, Level::RTL}});
+    sys.loadProgram(w.image);
+    loadMvmultData(sys.memNode(), w);
+    ParSimulationTool par(sys.elaborate(), parCfg(GetParam(), 2));
+    par.reset();
+    int errors = 0;
+    for (int c = 0; c < 300 && errors == 0; ++c) {
+        par.cycle();
+        errors += signalParityErrors(par, "psim2 multitile");
+    }
+    EXPECT_EQ(errors, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ArenaBackends, PsimHostAccess,
+    ::testing::Values(Backend::OptInterp, Backend::Bytecode),
+    [](const ::testing::TestParamInfo<Backend> &i) {
+        return i.param == Backend::OptInterp ? std::string("optinterp")
+                                             : std::string("bytecode");
+    });
+
 // ------------------------------------------------ partition sanity
 
 TEST(Partition, InvariantsOnMeshRtl)
